@@ -222,6 +222,7 @@ def cmd_min_wcan(args) -> int:
         "argmin": argmin,
         "grid_ties": result.grid_ties,
         "grid": args.grid,
+        "grid_used": result.grid_used,
         "refine": args.refine,
     }
     if args.threshold_search:
@@ -231,7 +232,7 @@ def cmd_min_wcan(args) -> int:
         else:
             pure = pauli_coefficients(DenseOperator(anchor, rho.qubits, hermitian=True))
         payload["threshold"] = threshold_search(
-            pure, grid_per_sphere=args.grid, refine_iters=args.refine, tol=1e-7
+            pure, grid_per_sphere=args.grid, refine_iters=args.refine
         )
     _emit(args, payload)
     return EXIT_OK
@@ -308,11 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("min-wcan", help="minimize the expansion function over product directions")
     p.add_argument("--state", required=True, help="state JSON (inline or a file path)")
     p.add_argument("--grid", type=int, default=24, help="grid points per sphere")
-    p.add_argument("--refine", type=int, default=3, help="refinement sweeps")
+    p.add_argument(
+        "--refine", type=int, default=3,
+        help="0 reports the grid minimum; any positive value refines until a sweep lowers nothing",
+    )
     p.add_argument(
         "--threshold-search",
         action="store_true",
-        help="also bisect for the largest nonnegative mixing weight of the pure target",
+        help="also report the largest nonnegative mixing weight of the pure target, "
+        "in closed form from one minimization",
     )
     p.set_defaults(func=cmd_min_wcan)
 

@@ -1,35 +1,37 @@
 """Deterministic global minimization of the canonical expansion function.
 
-The function is multilinear in the per-qubit Bloch vectors, and for the state
-families of interest its minima sit at pole or equator configurations.  A
-uniform (theta, phi) product grid that always contains the poles and, for even
-point counts, an equator ring with phi = 0 and phi = pi therefore evaluates
-the relevant candidates exactly; golden-section sweeps then polish each
-coordinate for generic states.
+The function is affine in each per-qubit Bloch vector separately, and for the
+state families of interest its minima sit at pole or equator configurations.
+A uniform (theta, phi) product grid that always contains the poles and, for
+even point counts, an equator ring with phi = 0 and phi = pi therefore
+evaluates the relevant candidates exactly.  Exact coordinate steps then polish
+the best grid point for generic states: with every qubit but k fixed the
+function is a + b . n_k, whose minimum over the unit sphere is a - |b| at
+n_k = -b/|b|.  The function is affine in the mixing weight with the identity
+too, so the separability threshold follows from one minimization.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .operators import BlochVector
-from .representations import PauliCoefficients
+from .representations import FOUR_PI, PauliCoefficients
 
 # cap on the size of the scanned product grid; above it the per-sphere grid
 # is thinned (poles and equator survive thinning because they sit on every
 # even grid)
 SCAN_BUDGET = 8_000_000
 _TIE_CAP = 24
-_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+# refinement sweeps until one lowers nothing; this only bounds a slow descent
+_MAX_SWEEPS = 200
 
 
 class SphereGrid(NamedTuple):
     points: np.ndarray  # (P, 2) rows of (theta, phi)
-    theta_step: float
-    phi_step: float
 
 
 def sphere_grid(count: int) -> SphereGrid:
@@ -49,38 +51,24 @@ def sphere_grid(count: int) -> SphereGrid:
         for j in range(p):
             pts.append((theta, 2.0 * math.pi * j / p))
     pts.append((math.pi, 0.0))
-    return SphereGrid(np.array(pts), math.pi / m, 2.0 * math.pi / p)
+    return SphereGrid(np.array(pts))
 
 
 class MinimizeResult(NamedTuple):
     value: float
     argmin: tuple[BlochVector, ...]
     grid_ties: tuple[tuple[tuple[float, float], ...], ...]
+    grid_used: int  # points per sphere actually scanned, after budget thinning
 
 
-def _golden_section(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b]; returns (x, f(x))."""
-    x1 = b - _GOLDEN_RATIO * (b - a)
-    x2 = a + _GOLDEN_RATIO * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN_RATIO * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN_RATIO * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
-def _config_value(c: PauliCoefficients, angles: Sequence[Sequence[float]]) -> float:
-    nodes = [
-        BlochVector.from_spherical(theta, phi % (2.0 * math.pi)).as_array()[None, :]
-        for theta, phi in angles
-    ]
-    return float(c.node_values(nodes).reshape(()))
+def _slope(c: PauliCoefficients, vecs: np.ndarray, k: int) -> np.ndarray:
+    """A positive multiple of b, where w = a + b . n_k while every other qubit
+    stays at vecs; the weights (1/3, n_j) are those of node_values."""
+    t = np.moveaxis(c.coeffs, k, -1)
+    for j, v in enumerate(vecs):
+        if j != k:
+            t = np.tensordot(np.array([1.0 / 3.0, *v]), t, axes=([0], [0]))
+    return t[1:]
 
 
 def minimize_wcan(
@@ -88,11 +76,13 @@ def minimize_wcan(
 ) -> MinimizeResult:
     """Minimize the canonical expansion function over product Bloch vectors.
 
-    Scans the full product of per-qubit grids, then runs refine_iters sweeps
-    of per-coordinate golden-section refinement around the best grid point.
-    Deterministic for fixed parameters; on value ties the lexicographically
-    smallest grid multi-index wins.  The result is always an evaluated point,
-    so it upper-bounds the true minimum.
+    Scans the full product of per-qubit grids.  With refine_iters > 0 it then
+    sweeps exact coordinate steps over the qubits, starting at the best grid
+    point and keeping a step only if its evaluated value is strictly lower,
+    until a whole sweep lowers nothing; refine_iters == 0 reports the grid
+    minimum.  Deterministic for fixed parameters; on value ties the
+    lexicographically smallest grid multi-index wins.  The result is always
+    an evaluated point, so it upper-bounds the true minimum.
 
     grid_ties lists the grid configurations (as (theta, phi) per qubit) whose
     scanned value ties the grid minimum within 1e-12, capped at 24 entries.
@@ -121,49 +111,33 @@ def minimize_wcan(
     table = c.node_values([nodes] * n)
     flat = table.reshape(-1)
     best_flat = int(np.argmin(flat))
-    grid_value = float(flat[best_flat])
+    value = float(flat[best_flat])
 
-    tie_flats = np.flatnonzero(flat <= grid_value + 1e-12)[:_TIE_CAP]
+    tie_flats = np.flatnonzero(flat <= value + 1e-12)[:_TIE_CAP]
     shape = table.shape
     ties = tuple(
         tuple((float(angles[i, 0]), float(angles[i, 1])) for i in np.unravel_index(t, shape))
         for t in tie_flats
     )
 
-    best_idx = np.unravel_index(best_flat, shape)
-    config = [[float(angles[i, 0]), float(angles[i, 1])] for i in best_idx]
-    best_value = grid_value
-
-    for _ in range(refine_iters):
+    vecs = nodes[list(np.unravel_index(best_flat, shape))]
+    for _ in range(_MAX_SWEEPS if refine_iters > 0 else 0):
+        lowered = False
         for k in range(n):
-            def f_theta(t: float) -> float:
-                trial = [list(q) for q in config]
-                trial[k][0] = t
-                return _config_value(c, trial)
+            b = _slope(c, vecs, k)
+            norm = float(np.linalg.norm(b))
+            if norm == 0.0:
+                continue
+            trial = vecs.copy()
+            trial[k] = -b / norm
+            trial_value = float(c.node_values(trial[:, None, :]).reshape(()))
+            if trial_value < value:
+                vecs, value, lowered = trial, trial_value, True
+        if not lowered:
+            break
 
-            lo = max(0.0, config[k][0] - grid.theta_step)
-            hi = min(math.pi, config[k][0] + grid.theta_step)
-            t, val = _golden_section(f_theta, lo, hi)
-            if val < best_value:
-                best_value = val
-                config[k][0] = t
-
-            def f_phi(p: float) -> float:
-                trial = [list(q) for q in config]
-                trial[k][1] = p
-                return _config_value(c, trial)
-
-            p, val = _golden_section(
-                f_phi, config[k][1] - grid.phi_step, config[k][1] + grid.phi_step
-            )
-            if val < best_value:
-                best_value = val
-                config[k][1] = p % (2.0 * math.pi)
-
-    argmin = tuple(
-        BlochVector.from_spherical(theta, phi % (2.0 * math.pi)) for theta, phi in config
-    )
-    return MinimizeResult(best_value, argmin, ties)
+    argmin = tuple(BlochVector.from_array(v) for v in vecs)
+    return MinimizeResult(value, argmin, ties, len(angles))
 
 
 def mix_with_identity(pure: PauliCoefficients, epsilon: float) -> PauliCoefficients:
@@ -183,23 +157,18 @@ def threshold_search(
 ) -> float:
     """Largest mixing weight eps keeping the canonical expansion nonnegative.
 
-    Bisects eps in [0, 1], running the minimizer on the eps-mixture of the
-    identity with the state behind `pure` at every step.  The answer is exact
-    (to the bisection tolerance) whenever the extremal configurations lie on
-    the scan grid, which holds for the cat-state families; for generic states
-    it is an upper estimate at the given grid resolution.
+    With u = (4 pi)^-N, the value of the maximally mixed state's function, and
+    c0 the identity coefficient of `pure`, the eps-mixture has the function
+    u + eps (w_pure - c0 u).  One minimization of w_pure, with minimum m,
+    therefore gives the answer in closed form: 1 when u + m - c0 u >= 0, and
+    u / (c0 u - m) otherwise.  The answer is exact whenever the extremal
+    configurations lie on the scan grid, which holds for the cat-state
+    families; for generic states it is an upper estimate at the given grid
+    resolution.  `tol` is accepted for compatibility and no longer used.
     """
-    def is_nonnegative(eps: float) -> bool:
-        mixed = mix_with_identity(pure, eps)
-        return minimize_wcan(mixed, grid_per_sphere, refine_iters).value >= 0.0
-
-    if is_nonnegative(1.0):
+    u = FOUR_PI ** -pure.qubits
+    c0 = float(pure.coeffs[(0,) * pure.qubits])
+    m = minimize_wcan(pure, grid_per_sphere, refine_iters).value
+    if u + m - c0 * u >= 0.0:
         return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if is_nonnegative(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return u / (c0 * u - m)

@@ -185,6 +185,7 @@ def test_min_wcan_report(capsys):
         v = np.array(entry["vector"])
         assert abs(np.linalg.norm(v) - 1.0) < 1e-9
     assert report["grid"] == 12
+    assert report["grid_used"] == 12
 
 
 def test_min_wcan_threshold_search(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blochframes import (
+    DenseOperator,
     StateSpec,
     bound_cat,
     build_state,
@@ -12,6 +13,7 @@ from blochframes import (
     pauli_coefficients,
     sphere_grid,
     threshold_search,
+    wcan_continuous,
 )
 from conftest import random_density
 
@@ -140,3 +142,56 @@ def test_threshold_search_cat_small_grid():
 def test_threshold_search_always_nonnegative_state():
     pure = pauli_coefficients(build_state(StateSpec("maximally_mixed", qubits=1)))
     assert threshold_search(pure, grid_per_sphere=8, refine_iters=0) == 1.0
+
+
+def test_grid_used_reports_thinning():
+    c = pauli_coefficients(build_state(StateSpec("maximally_mixed", qubits=2)))
+    assert minimize_wcan(c, grid_per_sphere=24, refine_iters=0).grid_used == 20
+    c = pauli_coefficients(build_state(StateSpec("maximally_mixed", qubits=7)))
+    assert minimize_wcan(c, grid_per_sphere=24, refine_iters=0).grid_used == 8
+
+
+def test_threshold_search_cat_is_exact():
+    for n in range(2, 8):
+        pure = pauli_coefficients(build_state(StateSpec("cat", qubits=n)))
+        assert abs(threshold_search(pure) - bound_cat(n)) < 1e-15
+
+
+def _random_pure(rng, n):
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    v /= np.linalg.norm(v)
+    return pauli_coefficients(DenseOperator(np.outer(v, v.conj()), n, hermitian=True))
+
+
+def test_threshold_closed_form_matches_bisection(rng):
+    tol = 1e-7
+    for n in (1, 2, 2, 3):
+        pure = _random_pure(rng, n)
+        found = threshold_search(pure, grid_per_sphere=12, refine_iters=1)
+        assert found < 1.0
+        lo, hi = 0.0, 1.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if minimize_wcan(mix_with_identity(pure, mid), 12, 1).value >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(found - 0.5 * (lo + hi)) <= tol
+
+
+def test_refined_minimum_is_coordinatewise_stationary(rng):
+    # with the other qubits fixed, w = a + b . n_k; probing +-e_j recovers a
+    # and b, and no exact step a - |b| may undercut the reported minimum
+    for n in (1, 2, 3, 3):
+        c = pauli_coefficients(random_density(rng, n))
+        res = minimize_wcan(c, grid_per_sphere=12, refine_iters=1)
+        for k in range(n):
+            def w(direction):
+                vectors = list(res.argmin)
+                vectors[k] = direction
+                return wcan_continuous(c, vectors)
+
+            axes = np.eye(3)
+            b = np.array([(w(e) - w(-e)) / 2 for e in axes])
+            a = (w(axes[2]) + w(-axes[2])) / 2
+            assert a - np.linalg.norm(b) >= res.value - 1e-12

@@ -253,3 +253,10 @@ def test_reconstruct_discrete_uniform_octahedron():
     t = CoefficientTable.discrete([f], np.full(6, 1 / 6))
     back = reconstruct_discrete(t)
     assert np.abs(back.matrix - np.eye(2) / 2).max() < 1e-14
+
+
+def test_star_import_exposes_expansions():
+    namespace = {}
+    exec("from blochframes import *", namespace)
+    assert "wcan_discrete" in namespace
+    assert "wcan_continuous" in namespace

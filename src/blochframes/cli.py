@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=24, help="grid points per sphere")
     p.add_argument(
         "--refine", type=int, default=3,
-        help="0 reports the grid minimum; any positive value refines until a sweep lowers nothing",
+        help="0 reports the grid minimum; any positive value refines until a round lowers nothing",
     )
     p.add_argument(
         "--threshold-search",

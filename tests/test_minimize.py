@@ -195,3 +195,25 @@ def test_refined_minimum_is_coordinatewise_stationary(rng):
             b = np.array([(w(e) - w(-e)) / 2 for e in axes])
             a = (w(axes[2]) + w(-axes[2])) / 2
             assert a - np.linalg.norm(b) >= res.value - 1e-12
+
+
+def test_refinement_takes_few_rounds(rng, monkeypatch):
+    # coordinate steps alone crawl along flat valleys, up to hundreds of
+    # sweeps; with the Newton step every seeded state converges in a few
+    # rounds, so the cost of a solve hardly depends on the state
+    import blochframes.minimize as minimize
+
+    rounds = []
+    newton_move = minimize._newton_move
+
+    def counted(*args):
+        rounds[-1] += 1
+        return newton_move(*args)
+
+    monkeypatch.setattr(minimize, "_newton_move", counted)
+    for n in (2, 3, 4) * 8:
+        c = pauli_coefficients(random_density(rng, n))
+        rounds.append(0)
+        grid_only = minimize_wcan(c, grid_per_sphere=12, refine_iters=0).value
+        assert minimize_wcan(c, grid_per_sphere=12, refine_iters=1).value <= grid_only
+    assert max(rounds) <= 12

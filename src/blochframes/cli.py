@@ -269,7 +269,8 @@ def cmd_ppt(args) -> int:
         {
             "min_eigenvalue": value,
             "transposed_side": args.side,
-            "verdict": "nonseparable" if value < -1e-12 else "inconclusive",
+            # PPT is necessary and sufficient for two qubits, the only case ppt accepts
+            "verdict": "nonseparable" if value < -1e-12 else "separable",
         },
     )
     return EXIT_OK
@@ -285,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
     parser.add_argument("--tol", type=float, default=None, help="override the default tolerance")
-    parser.add_argument("--seed", type=int, default=None, help="reserved; accepted for reproducible runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="closed-form separability thresholds per qubit count")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import sph_harm_y
 
 from .operators import BlochVector
 from .representations import FOUR_PI, PauliCoefficients, _mode_contract
@@ -46,6 +45,9 @@ def sph_y(l: int, m: int, theta, phi) -> np.ndarray:
     """Spherical harmonic Y_l^m at polar angle theta, azimuth phi."""
     if abs(m) > l:
         raise ValueError(f"|m| = {abs(m)} exceeds l = {l}")
+    # imported here: scipy.special dominates the package's import time
+    from scipy.special import sph_harm_y
+
     return sph_harm_y(l, m, np.asarray(theta), np.asarray(phi))
 
 

@@ -23,6 +23,8 @@ from .operators import BlochVector, DenseOperator, sigma_stack
 from .frames import Frame, polyhedron_vectors
 
 FOUR_PI = 4.0 * math.pi
+# rows per stream.write in CoefficientTable.write_csv
+_CSV_BLOCK_ROWS = 1 << 15
 
 
 def _mode_contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -221,9 +223,18 @@ class CoefficientTable:
                 % ", ".join(f.kind for f in self.frames)
             )
         stream.write(",".join([f"idx_{k + 1}" for k in range(n)] + ["weight"]) + "\n")
-        for idx in np.ndindex(*self.weights.shape):
-            row = [str(i) for i in idx] + [repr(float(self.weights[idx]))]
-            stream.write(",".join(row) + "\n")
+        # one write per block: the trailing axes (at least the last one) form a
+        # block of about _CSV_BLOCK_ROWS rows whose "i,j," prefixes are built once
+        shape = self.weights.shape
+        split, rows = n - 1, shape[-1]
+        while split > 0 and rows * shape[split - 1] <= _CSV_BLOCK_ROWS:
+            split -= 1
+            rows *= shape[split]
+        prefixes = ["".join(f"{i}," for i in idx) for idx in np.ndindex(*shape[split:])]
+        for lead in np.ndindex(*shape[:split]):
+            head = "".join(f"{i}," for i in lead)
+            weights = map(repr, self.weights[lead].ravel().tolist())
+            stream.write(head + ("\n" + head).join(map(str.__add__, prefixes, weights)) + "\n")
         if comments:
             stream.write(f"# min={self.min_entry()!r} sum={self.total()!r}\n")
 

@@ -248,6 +248,16 @@ def test_ppt_subcommand(capsys):
     assert report["verdict"] == "nonseparable"
 
 
+def test_ppt_separable_werner(capsys):
+    code, out, err = run_cli(
+        capsys, ["ppt", "--state", '{"family": "werner", "epsilon": 0.2}']
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert abs(report["min_eigenvalue"] - (1 - 0.6) / 4) < 1e-12
+    assert report["verdict"] == "separable"
+
+
 def test_ppt_wrong_qubits_domain_error(capsys):
     code, out, err = run_cli(
         capsys, ["ppt", "--state", '{"family": "eps_ghz", "epsilon": 0.2}']

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -171,3 +173,13 @@ def test_mirror_symmetry_of_hosh_terms(rng):
         phi = rng.uniform(0, 2 * math.pi)
         value = aug.evaluate([BlochVector.from_spherical(theta, phi)])
         assert isinstance(value, float)
+
+
+def test_package_import_leaves_scipy_special_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, blochframes; print('scipy.special' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from blochframes import (
     wcan_continuous,
     wcan_discrete,
 )
+from blochframes.cli import main
 from conftest import random_density, random_hermitian
 
 FOUR_PI = 4 * math.pi
@@ -196,6 +198,65 @@ def test_csv_output_format():
     assert len(data) == 5
     assert data[1] == "0,0.25"
     assert lines[-1].startswith("# min=")
+
+
+def reference_csv(table, comments=True):
+    """The CSV format, written one row at a time."""
+    n = table.qubits
+    out = []
+    if comments:
+        out.append("# discrete expansion table: one row per frame multi-index\n")
+        out.append(
+            "# idx_k indexes qubit k's frame (%s); weight = tr(rho Q_idx1 x ... x Q_idxN)\n"
+            % ", ".join(f.kind for f in table.frames)
+        )
+    out.append(",".join([f"idx_{k + 1}" for k in range(n)] + ["weight"]) + "\n")
+    for idx in np.ndindex(*table.weights.shape):
+        row = [str(i) for i in idx] + [repr(float(table.weights[idx]))]
+        out.append(",".join(row) + "\n")
+    if comments:
+        out.append(f"# min={table.min_entry()!r} sum={table.total()!r}\n")
+    return "".join(out)
+
+
+MIXED_FRAMES = ["cardinal6", "tetrahedron", "icosahedron"]
+
+
+def csv_tables(rng):
+    mixed = wcan_discrete(random_density(rng, 3), [build_frame(k) for k in MIXED_FRAMES])
+    reprs = [repr(w) for w in mixed.weights.ravel().tolist()]
+    assert any(r.startswith("-") for r in reprs) and any("e-" in r for r in reprs)
+    # 6^6 rows span several write blocks
+    big = wcan_discrete(
+        build_state(StateSpec("eps_cat", qubits=6, epsilon=0.3)),
+        [build_frame("cardinal6")] * 6,
+    )
+    assert big.weights.size > 2**15
+    single = wcan_discrete(random_density(rng, 1), [build_frame("icosahedron")])
+    return [mixed, big, single]
+
+
+@pytest.mark.parametrize("comments", [True, False])
+def test_csv_bytes_match_row_by_row_reference(rng, comments):
+    for table in csv_tables(rng):
+        buf = io.StringIO()
+        table.write_csv(buf, comments=comments)
+        assert buf.getvalue() == reference_csv(table, comments=comments)
+
+
+def test_coeffs_csv_bytes_match_reference(capsys, tmp_path):
+    spec = {"family": "eps_ghz", "epsilon": 0.1}
+    frames = json.dumps(MIXED_FRAMES)
+    table = wcan_discrete(
+        build_state(StateSpec.from_json(spec)), [build_frame(k) for k in MIXED_FRAMES]
+    )
+    expected = reference_csv(table)
+    assert main(["coeffs", "--state", json.dumps(spec), "--frames", frames]) == 0
+    assert capsys.readouterr().out == expected
+    out_file = tmp_path / "table.csv"
+    argv = ["coeffs", "--state", json.dumps(spec), "--frames", frames, "--out", str(out_file)]
+    assert main(argv) == 0
+    assert out_file.read_text() == expected
 
 
 def test_continuous_reconstruction_quadratures(rng):

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 usage or unreadable input, 3 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -137,18 +138,17 @@ def cmd_coeffs(args) -> int:
                 table.write_csv(fh)
         except OSError as exc:
             raise _InputError(f"cannot write {out_path}: {exc}") from exc
-    fmt = args.format or ("json" if out_path is not None else "csv")
-    if fmt == "csv" and out_path is None:
+    if out_path is None and (args.format or "csv") == "csv":
         table.write_csv(sys.stdout)
-    else:
-        payload = {
-            "rows": int(np.prod(table.weights.shape)),
-            "min": table.min_entry(),
-            "sum": table.total(),
-        }
-        if out_path is not None:
-            payload["out"] = str(out_path)
-        print(json.dumps(payload, indent=2))
+        return EXIT_OK
+    payload = {
+        "rows": int(np.prod(table.weights.shape)),
+        "min": table.min_entry(),
+        "sum": table.total(),
+    }
+    if out_path is not None:
+        payload["out"] = str(out_path)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -264,13 +264,14 @@ def cmd_witness(args) -> int:
 def cmd_ppt(args) -> int:
     rho = build_state(_state_from_arg(args.state))
     value = ppt_min_eigenvalue(rho, transposed_side=args.side)
+    tol = args.tol if args.tol is not None else 1e-12
     _emit(
         args,
         {
             "min_eigenvalue": value,
             "transposed_side": args.side,
             # PPT is necessary and sufficient for two qubits, the only case ppt accepts
-            "verdict": "nonseparable" if value < -1e-12 else "separable",
+            "verdict": "nonseparable" if value < -tol else "separable",
         },
     )
     return EXIT_OK
@@ -335,10 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on the first call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -15,6 +15,7 @@ Q_a = (1/K)(1 + 3 sigma.n_a).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import BlochVector, DenseOperator, bloch_projector, sigma_stack
+from .operators import BlochVector, DenseOperator, sigma_stack
 
 GRAM_RANK_CUTOFF = 1e-10
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -79,19 +80,6 @@ class Superoperator:
             raise ValueError(f"superoperator on dim {self.dim} needs shape {(d2, d2)}, got {m.shape}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def outer(cls, ket: DenseOperator, bra: DenseOperator) -> "Superoperator":
-        """The map |ket)(bra| : X -> ket * tr(bra^dag X)."""
-        if ket.dim != bra.dim:
-            raise ValueError("outer product needs equal operator dimensions")
-        k = vec_operator(ket.matrix)
-        b = vec_operator(bra.matrix)
-        return cls(np.outer(k, b.conj()), ket.dim)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Superoperator":
-        return cls(np.eye(dim * dim), dim)
 
     def apply(self, a: DenseOperator) -> DenseOperator:
         if a.dim != self.dim:
@@ -155,7 +143,6 @@ class Frame:
     vectors: tuple[BlochVector, ...]
     projectors: tuple[DenseOperator, ...]
     duals: tuple[DenseOperator, ...]
-    gram: Superoperator
 
     @property
     def size(self) -> int:
@@ -170,12 +157,8 @@ class Frame:
 
     def dual_pauli_matrix(self) -> np.ndarray:
         """Row a holds the expansion of Q_a over (1, sigma_1, sigma_2, sigma_3)/2."""
-        sig = sigma_stack()
-        out = np.empty((self.size, 4))
-        for a, q in enumerate(self.duals):
-            for b in range(4):
-                out[a, b] = 0.5 * np.real(np.trace(q.matrix @ sig[b]))
-        return out
+        duals = np.array([q.matrix for q in self.duals])
+        return 0.5 * np.einsum("aij,bji->ab", duals, sigma_stack()).real
 
 
 def dual_frame(vectors: Sequence[BlochVector], kind: str = "custom") -> Frame:
@@ -189,9 +172,17 @@ def dual_frame(vectors: Sequence[BlochVector], kind: str = "custom") -> Frame:
     vectors = tuple(vectors)
     if not vectors:
         raise ValueError("a frame needs at least one vector")
-    projectors = tuple(bloch_projector(v) for v in vectors)
-    g = gram(projectors)
-    lam, basis = np.linalg.eigh(0.5 * (g.matrix + g.matrix.conj().T))
+    arr = np.array(vectors, dtype=float)
+    norms = np.sqrt((arr * arr).sum(axis=1))
+    off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+    if off.size:
+        raise ValueError(f"expected a unit Bloch vector, got norm {float(norms[off[0]])!r}")
+    sig = sigma_stack()
+    projectors = 0.5 * (sig[0] + np.tensordot(arr, sig[1:], axes=1))
+    # rows are the column-stacked projectors, as in gram()
+    vecs = projectors.transpose(0, 2, 1).reshape(len(vectors), 4)
+    g = vecs.T @ vecs.conj()
+    lam, basis = np.linalg.eigh(0.5 * (g + g.conj().T))
     cutoff = GRAM_RANK_CUTOFF * float(lam[-1])
     if float(lam[0]) < cutoff:
         rank = int(np.sum(lam >= cutoff))
@@ -199,11 +190,15 @@ def dual_frame(vectors: Sequence[BlochVector], kind: str = "custom") -> Frame:
             f"projector family spans only {rank} of 4 operator dimensions"
         )
     ginv = (basis / lam) @ basis.conj().T
-    duals = []
-    for p in projectors:
-        q = unvec_operator(ginv @ vec_operator(p.matrix), 2)
-        duals.append(DenseOperator(0.5 * (q + q.conj().T), 1, hermitian=True))
-    return Frame(kind, vectors, projectors, tuple(duals), g)
+    # one matrix-vector product per projector, which rounds like ginv @ vec(P_a)
+    duals = (ginv @ vecs[:, :, None]).reshape(-1, 2, 2).transpose(0, 2, 1)
+    duals = 0.5 * (duals + duals.conj().transpose(0, 2, 1))
+    return Frame(
+        kind,
+        vectors,
+        tuple(DenseOperator(p, 1, hermitian=True) for p in projectors),
+        tuple(DenseOperator(q, 1, hermitian=True) for q in duals),
+    )
 
 
 def continuous_dual(n: BlochVector) -> DenseOperator:
@@ -220,12 +215,14 @@ def _unit(x: float, y: float, z: float) -> BlochVector:
     return BlochVector(float(x / r), float(y / r), float(z / r))
 
 
+@functools.lru_cache(maxsize=None)
 def polyhedron_vectors(kind: str) -> tuple[BlochVector, ...]:
     """Vertices of a regular polyhedron inscribed in the unit sphere.
 
     Orientations are fixed once and for all: the octahedron sits on the
     coordinate axes, tetrahedron and cube use signed-ones vertices, and the
     icosahedron/dodecahedron come from the usual golden-ratio coordinates.
+    Each kind is built once per process and the tuple is shared.
     """
     if kind == "octahedron":
         return (
@@ -296,12 +293,11 @@ def build_frame(kind: str, vectors: Sequence[BlochVector] | None = None) -> Fram
     """Construct a named frame, or a custom/reflected one from explicit vectors.
 
     "cardinal6" is the octahedron vertex set in the order +x,-x,+y,-y,+z,-z.
-    For "reflected" the vectors argument holds the octant seeds.
+    For "reflected" the vectors argument holds the octant seeds.  Named
+    frames are built once per process and the same object is returned.
     """
-    if kind == "cardinal6":
-        return dual_frame(polyhedron_vectors("octahedron"), kind="cardinal6")
-    if kind in POLYHEDRON_SIZES:
-        return dual_frame(polyhedron_vectors(kind), kind=kind)
+    if kind == "cardinal6" or kind in POLYHEDRON_SIZES:
+        return _named_frame(kind)
     if kind == "reflected":
         if not vectors:
             raise ValueError("reflected frames need seed vectors")
@@ -311,6 +307,13 @@ def build_frame(kind: str, vectors: Sequence[BlochVector] | None = None) -> Fram
             raise ValueError(f"{kind} frames need explicit vectors")
         return dual_frame(vectors, kind=kind)
     raise ValueError(f"unknown frame kind {kind!r}; options: {FRAME_KINDS}")
+
+
+@functools.lru_cache(maxsize=None)
+def _named_frame(kind: str) -> Frame:
+    """The named frames are immutable, so each is inverted once and shared."""
+    vectors = polyhedron_vectors("octahedron" if kind == "cardinal6" else kind)
+    return dual_frame(vectors, kind=kind)
 
 
 def cardinal6() -> Frame:

@@ -13,6 +13,7 @@ through projector stacks or sphere quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO
@@ -28,7 +29,7 @@ _CSV_BLOCK_ROWS = 1 << 15
 
 
 def _mode_contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract axis k of the tensor with column 2 of matrices[k].
+    """Contract axis k of the tensor with axis 1 of matrices[k].
 
     Each matrix has shape (M_k, 4) (or (M_k, old axis length)); the result has
     shape (M_1, ..., M_N).  Axes are consumed from the front and appended at
@@ -306,21 +307,27 @@ class SphereQuadrature:
 
     def degree_residual(self, degree: int) -> float:
         """Worst monomial-moment error over all total degrees <= degree."""
-        worst = 0.0
-        x, y, z = self.nodes[:, 0], self.nodes[:, 1], self.nodes[:, 2]
-        for a in range(degree + 1):
-            for b in range(degree + 1 - a):
-                for c in range(degree + 1 - a - b):
-                    approx = float(np.sum(self.weights * x**a * y**b * z**c))
-                    worst = max(worst, abs(approx - _sphere_monomial_integral(a, b, c)))
-        return worst
+        exps = [
+            (a, b, c)
+            for a in range(degree + 1)
+            for b in range(degree + 1 - a)
+            for c in range(degree + 1 - a - b)
+        ]
+        exact = [_sphere_monomial_integral(*e) for e in exps]
+        monomials = np.prod(self.nodes[:, None, :] ** np.reshape(exps, (-1, 3)), axis=2)
+        approx = np.sum(self.weights[:, None] * monomials, axis=0)
+        return float(np.max(np.abs(approx - exact), initial=0.0))
 
     def is_exact_to_degree(self, degree: int, tol: float = 1e-8) -> bool:
         return self.degree_residual(degree) <= tol
 
 
+@functools.lru_cache(maxsize=None)
 def sphere_quadrature(kind: str) -> SphereQuadrature:
-    """Equal-weight vertex quadratures: octahedron (degree 3), icosahedron (degree 5)."""
+    """Equal-weight vertex quadratures: octahedron (degree 3), icosahedron (degree 5).
+
+    Each kind is built once per process and the immutable quadrature is shared.
+    """
     if kind not in ("octahedron", "icosahedron"):
         raise ValueError(f"no quadrature registered for {kind!r}")
     vectors = polyhedron_vectors(kind)

@@ -12,6 +12,7 @@ from blochframes import (
     build_state,
     pauli_coefficients,
     wcan_continuous,
+    wcan_discrete,
 )
 from blochframes.cli import main
 
@@ -76,6 +77,34 @@ def test_coeffs_file_output(capsys, tmp_path):
     assert len(rows) == 217
     total = sum(float(r.split(",")[-1]) for r in rows[1:])
     assert abs(total - 1.0) < 1e-10
+
+
+def test_coeffs_file_output_default_summary_bytes(capsys, tmp_path):
+    out_file = tmp_path / "table.csv"
+    state = '{"family": "werner", "epsilon": 0.2}'
+    code, out, err = run_cli(capsys, ["coeffs", "--state", state, "--out", str(out_file)])
+    assert code == 0
+    rho = build_state(StateSpec("werner", epsilon=0.2))
+    table = wcan_discrete(rho, [build_frame("cardinal6")] * 2)
+    expected = {"rows": 36, "min": table.min_entry(), "sum": table.total(), "out": str(out_file)}
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_coeffs_file_output_csv_summary(capsys, tmp_path):
+    out_file = tmp_path / "table.csv"
+    state = '{"family": "werner", "epsilon": 0.2}'
+    code, out, err = run_cli(
+        capsys, ["--format", "csv", "coeffs", "--state", state, "--out", str(out_file)]
+    )
+    assert code == 0
+    rho = build_state(StateSpec("werner", epsilon=0.2))
+    table = wcan_discrete(rho, [build_frame("cardinal6")] * 2)
+    assert out.splitlines() == [
+        "rows,min,sum,out",
+        f"36,{table.min_entry()!r},{table.total()!r},{out_file}",
+    ]
+    rows = [l for l in out_file.read_text().splitlines() if l and not l.startswith("#")]
+    assert len(rows) == 37
 
 
 def test_coeffs_min_matches_vertex_expansion(capsys):
@@ -258,6 +287,19 @@ def test_ppt_separable_werner(capsys):
     assert report["verdict"] == "separable"
 
 
+def test_ppt_honours_global_tol(capsys):
+    # lambda_min = (1 - 3 * 0.34) / 4 = -0.005
+    state = '{"family": "werner", "epsilon": 0.34}'
+    code, out, err = run_cli(capsys, ["ppt", "--state", state])
+    assert code == 0
+    report = json.loads(out)
+    assert abs(report["min_eigenvalue"] + 0.005) < 1e-12
+    assert report["verdict"] == "nonseparable"
+    code, out, err = run_cli(capsys, ["--tol", "0.01", "ppt", "--state", state])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "separable"
+
+
 def test_ppt_wrong_qubits_domain_error(capsys):
     code, out, err = run_cli(
         capsys, ["ppt", "--state", '{"family": "eps_ghz", "epsilon": 0.2}']
@@ -292,3 +334,30 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("2,")
+
+
+def test_parser_reused_after_usage_error_and_help(capsys):
+    from blochframes.cli import _parser, build_parser
+
+    assert build_parser() is not build_parser()
+    code, out, err = run_cli(capsys, ["coeffs"])
+    assert code == 2
+    assert "--state" in err
+    code, out, err = run_cli(capsys, ["--help"])
+    assert code == 0
+    assert "usage: blochframes" in out
+    assert _parser() is _parser()
+    code, out, err = run_cli(capsys, ["bounds", "--n-min", "2", "--n-max", "2"])
+    assert code == 0
+    assert out.splitlines()[1].split(",")[0] == "2"
+
+
+def test_repeated_calls_identical_output(capsys):
+    argv = ["--format", "json", "min-wcan", "--state", '{"family": "werner", "epsilon": 0.3}',
+            "--grid", "12", "--refine", "1"]
+    first = run_cli(capsys, argv)
+    # another subcommand in between must leave no state behind in the parser
+    assert run_cli(capsys, ["ppt", "--state", '{"family": "werner", "epsilon": 0.3}'])[0] == 0
+    second = run_cli(capsys, argv)
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]

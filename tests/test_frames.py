@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blochframes import (
     BlochVector,
@@ -18,6 +20,7 @@ from blochframes import (
     pauli,
     polyhedron_vectors,
     reflect_octant,
+    sigma_stack,
     trace_inner,
 )
 from conftest import random_hermitian
@@ -255,3 +258,37 @@ def test_gram_apply_matches_sum(rng):
     a = random_hermitian(rng, 1)
     direct = sum(p.matrix * trace_inner(p, a) for p in f.projectors)
     assert np.abs(g.apply(a).matrix - direct).max() < 1e-12
+
+
+def test_named_frames_are_shared_and_read_only():
+    cube = build_frame("cube")
+    assert build_frame("cube") is cube
+    assert frame_from_json({"kind": "cube"}) is cube
+    assert cardinal6() is build_frame("cardinal6")
+    assert polyhedron_vectors("icosahedron") is polyhedron_vectors("icosahedron")
+    with pytest.raises(ValueError):
+        cube.projectors[0].matrix[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        cube.duals[0].matrix[0, 0] = 0.0
+    # custom frames are still built per call
+    vs = list(polyhedron_vectors("tetrahedron"))
+    assert build_frame("custom", vs) is not build_frame("custom", vs)
+
+
+_direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_direction, min_size=4, max_size=12))
+def test_random_spanning_frames(raw):
+    vs = [unit(*v) for v in raw]
+    # keep frames whose projectors span with a well-conditioned Gram matrix
+    a = np.hstack([np.ones((len(vs), 1)), np.array(vs)])
+    assume(np.linalg.svd(a, compute_uv=False)[-1] >= 0.1)
+    f = dual_frame(vs)
+    assert f.resolution_residual() < 1e-10
+    sig = sigma_stack()
+    per_dual = np.array(
+        [[0.5 * np.real(np.trace(q.matrix @ sig[b])) for b in range(4)] for q in f.duals]
+    )
+    assert np.abs(f.dual_pauli_matrix() - per_dual).max() <= 1e-14

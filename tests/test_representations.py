@@ -301,6 +301,49 @@ def test_reconstruct_continuous_rejects_weak_quadrature(rng):
         reconstruct_continuous(aug, sphere_quadrature("icosahedron"))
 
 
+def test_degree_residual_matches_monomial_loop():
+    def double_factorial(k):
+        return math.prod(range(k, 0, -2))
+
+    def integral(a, b, c):
+        if a % 2 or b % 2 or c % 2:
+            return 0.0
+        num = double_factorial(a - 1) * double_factorial(b - 1) * double_factorial(c - 1)
+        return 4 * math.pi * num / double_factorial(a + b + c + 1)
+
+    for kind in ("octahedron", "icosahedron"):
+        q = sphere_quadrature(kind)
+        x, y, z = q.nodes.T
+        for degree in range(8):
+            worst = max(
+                abs(float(np.sum(q.weights * x**a * y**b * z**c)) - integral(a, b, c))
+                for a in range(degree + 1)
+                for b in range(degree + 1 - a)
+                for c in range(degree + 1 - a - b)
+            )
+            assert abs(q.degree_residual(degree) - worst) <= 1e-13
+
+
+def test_shared_quadrature_still_checks_exactness(rng):
+    from blochframes import add_hosh, sph_coefficients
+
+    oct_q = sphere_quadrature("octahedron")
+    assert sphere_quadrature("octahedron") is oct_q
+    assert oct_q.is_exact_to_degree(3)
+    # the same shared object, checked again at a higher degree, still fails
+    assert not sphere_quadrature("octahedron").is_exact_to_degree(4)
+    rho = random_density(rng, 1)
+    s = sph_coefficients(pauli_coefficients(rho))
+    back = reconstruct_continuous(s, oct_q)
+    assert np.abs(back.matrix - rho.matrix).max() < 1e-12
+    # an l = 3 term needs degree 4: the octahedron is refused after it was accepted
+    aug = add_hosh(s, {((3, 0),): 0.05})
+    with pytest.raises(ValueError, match="degree <= 4"):
+        reconstruct_continuous(aug, sphere_quadrature("octahedron"))
+    back = reconstruct_continuous(aug, sphere_quadrature("icosahedron"))
+    assert np.abs(back.matrix - rho.matrix).max() < 1e-12
+
+
 def test_table_validation():
     frames = [build_frame("cardinal6")]
     with pytest.raises(ValueError):

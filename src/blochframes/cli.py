@@ -24,7 +24,6 @@ import numpy as np
 
 from .frames import Frame, build_frame, frame_from_json
 from .minimize import minimize_wcan, threshold_search
-from .operators import DenseOperator
 from .representations import PauliCoefficients, pauli_coefficients, wcan_discrete
 from .separability import ppt_min_eigenvalue, witness_ghz, witness_werner
 from .states import (
@@ -34,8 +33,8 @@ from .states import (
     bound_duer,
     bound_general,
     build_state,
-    cat_state_vector,
     ghz_ensemble,
+    pure_target,
     werner_ensemble,
 )
 
@@ -89,14 +88,28 @@ def _frames_from_arg(text: str | None, qubits: int) -> list[Frame]:
     return frames
 
 
-def _emit(args, payload: dict, default_format: str = "json") -> None:
+def _csv_field(value) -> str:
+    # nested values go into one field as JSON; None leaves the field empty
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _emit(args, payload: dict | list[dict], default_format: str = "json") -> None:
+    """Print a payload, or a list of payloads with the same keys, as JSON or as
+    CSV with one header row."""
     fmt = args.format or default_format
     if fmt == "json":
         print(json.dumps(payload, indent=2))
-    else:
-        keys = list(payload)
-        print(",".join(keys))
-        print(",".join(repr(payload[k]) if isinstance(payload[k], float) else str(payload[k]) for k in keys))
+        return
+    import csv  # only the CSV format needs it, so it stays off the import path
+
+    rows = payload if isinstance(payload, list) else [payload]
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows([_csv_field(v) for v in row.values()] for row in rows)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -115,14 +128,7 @@ def cmd_bounds(args) -> int:
                 "duer": bound_duer(n) if n >= 2 else 1.0,
             }
         )
-    fmt = args.format or "csv"
-    if fmt == "json":
-        print(json.dumps(rows, indent=2))
-    else:
-        print("N,general,cat,duer")
-        for r in rows:
-            cat = "" if r["cat"] is None else repr(r["cat"])
-            print(f"{r['N']},{r['general']!r},{cat},{r['duer']!r}")
+    _emit(args, rows, default_format="csv")
     return EXIT_OK
 
 
@@ -198,15 +204,6 @@ def cmd_verify_ensemble(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def _pure_anchor(spec: StateSpec, rho) -> "np.ndarray | None":
-    """The rank-one target of an eps-family, if the family has one."""
-    if spec.family in ("cat", "eps_cat", "werner", "eps_ghz"):
-        n = rho.qubits
-        v = cat_state_vector(n)
-        return np.outer(v, v.conj())
-    return None
-
-
 def cmd_min_wcan(args) -> int:
     spec = _state_from_arg(args.state)
     rho = build_state(spec)
@@ -226,11 +223,8 @@ def cmd_min_wcan(args) -> int:
         "refine": args.refine,
     }
     if args.threshold_search:
-        anchor = _pure_anchor(spec, rho)
-        if anchor is None:
-            pure = c
-        else:
-            pure = pauli_coefficients(DenseOperator(anchor, rho.qubits, hermitian=True))
+        target = pure_target(spec.family, rho.qubits)
+        pure = c if target is None else pauli_coefficients(target)
         payload["threshold"] = threshold_search(
             pure, grid_per_sphere=args.grid, refine_iters=args.refine
         )

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import BlochVector, DenseOperator, sigma_stack
+from .operators import BlochVector, DenseOperator, _projector_stack, sigma_stack
 
 GRAM_RANK_CUTOFF = 1e-10
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -45,7 +45,6 @@ FRAME_KINDS = (
     "dodecahedron",
     "reflected",
     "custom",
-    "continuous-sampled",
 )
 
 
@@ -177,8 +176,7 @@ def dual_frame(vectors: Sequence[BlochVector], kind: str = "custom") -> Frame:
     off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
     if off.size:
         raise ValueError(f"expected a unit Bloch vector, got norm {float(norms[off[0]])!r}")
-    sig = sigma_stack()
-    projectors = 0.5 * (sig[0] + np.tensordot(arr, sig[1:], axes=1))
+    projectors = _projector_stack(arr)
     # rows are the column-stacked projectors, as in gram()
     vecs = projectors.transpose(0, 2, 1).reshape(len(vectors), 4)
     g = vecs.T @ vecs.conj()
@@ -302,9 +300,9 @@ def build_frame(kind: str, vectors: Sequence[BlochVector] | None = None) -> Fram
         if not vectors:
             raise ValueError("reflected frames need seed vectors")
         return dual_frame(reflect_octant(vectors), kind="reflected")
-    if kind in ("custom", "continuous-sampled"):
+    if kind == "custom":
         if not vectors:
-            raise ValueError(f"{kind} frames need explicit vectors")
+            raise ValueError("custom frames need explicit vectors")
         return dual_frame(vectors, kind=kind)
     raise ValueError(f"unknown frame kind {kind!r}; options: {FRAME_KINDS}")
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import BlochVector
-from .representations import FOUR_PI, PauliCoefficients
+from .representations import FOUR_PI, PauliCoefficients, _bloch_rows, _mode_contract
 
 # cap on the size of the scanned product grid; above it the per-sphere grid
 # is thinned (poles and equator survive thinning because they sit on every
@@ -38,6 +38,8 @@ _MAX_HALVINGS = 8
 _CURVATURE_FLOOR = 1e-12
 # Newton steps predicted to gain less than this share of |w| are not tried
 _GAIN_FLOOR = 1e-15
+# the rows e_x, e_y, e_z that pick the Bloch components out of one axis
+_AXES = np.eye(4)[1:]
 
 
 class SphereGrid(NamedTuple):
@@ -74,11 +76,9 @@ class MinimizeResult(NamedTuple):
 def _slope(c: PauliCoefficients, vecs: np.ndarray, k: int) -> np.ndarray:
     """A positive multiple of b, where w = a + b . n_k while every other qubit
     stays at vecs; the weights (1/3, n_j) are those of node_values."""
-    others = [j for j in range(c.qubits) if j != k]
-    t = c.coeffs.transpose([k, *others])
-    for j in reversed(others):
-        t = t @ np.array([1.0 / 3.0, *vecs[j]])
-    return t[1:]
+    mats = list(_bloch_rows(vecs)[:, None, :])
+    mats[k] = _AXES
+    return _mode_contract(c.coeffs, mats).reshape(3)
 
 
 def _newton_move(coeffs: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -94,12 +94,9 @@ def _newton_move(coeffs: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, floa
     and no gradient, so the move has no normal part.
     """
     n = len(vecs)
-    t = coeffs
-    for v in vecs:
-        rows = np.eye(4)
-        rows[0] = (1.0 / 3.0, *v)
-        t = t.reshape(4, -1).T @ rows.T
-    flat = t.reshape(-1)
+    mats = np.tile(np.eye(4), (n, 1, 1))
+    mats[:, 0] = _bloch_rows(vecs)
+    flat = _mode_contract(coeffs, mats).reshape(-1)
     # flat index of component a of qubit k, for the 3N rows (k, a)
     place = (4 ** np.arange(n - 1, -1, -1)[:, None] * np.arange(1, 4)).reshape(-1)
     qubit = np.repeat(np.arange(n), 3)
@@ -213,7 +210,6 @@ def threshold_search(
     pure: PauliCoefficients,
     grid_per_sphere: int = 24,
     refine_iters: int = 3,
-    tol: float = 1e-7,
 ) -> float:
     """Largest mixing weight eps keeping the canonical expansion nonnegative.
 
@@ -224,7 +220,7 @@ def threshold_search(
     u / (c0 u - m) otherwise.  The answer is exact whenever the extremal
     configurations lie on the scan grid, which holds for the cat-state
     families; for generic states it is an upper estimate at the given grid
-    resolution.  `tol` is accepted for compatibility and no longer used.
+    resolution.
     """
     u = FOUR_PI ** -pure.qubits
     c0 = float(pure.coeffs[(0,) * pure.qubits])

@@ -89,15 +89,8 @@ class DenseOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def identity(cls, qubits: int) -> "DenseOperator":
-        return cls(np.eye(2**qubits), qubits, hermitian=True)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.matrix.conj().T, self.qubits, self.hermitian)
 
     def hermiticity_error(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
@@ -133,8 +126,12 @@ def pauli(index: int) -> DenseOperator:
 def bloch_projector(n: BlochVector) -> DenseOperator:
     """Rank-1 projector (1 + n.sigma)/2 onto the pure state along n."""
     _require_unit(n)
-    m = 0.5 * (_SIGMA[0] + n.x * _SIGMA[1] + n.y * _SIGMA[2] + n.z * _SIGMA[3])
-    return DenseOperator(m, 1, hermitian=True)
+    return DenseOperator(_projector_stack(np.array([n]))[0], 1, hermitian=True)
+
+
+def _projector_stack(nodes: np.ndarray) -> np.ndarray:
+    """Projectors (1 + sigma.n)/2 for (K, 3) Bloch vectors n, as a (K, 2, 2) array."""
+    return 0.5 * (_SIGMA[0] + (nodes @ _SIGMA[1:].reshape(3, 4)).reshape(-1, 2, 2))
 
 
 def tensor(factors: Sequence[DenseOperator]) -> DenseOperator:

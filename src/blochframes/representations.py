@@ -20,7 +20,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .operators import BlochVector, DenseOperator, sigma_stack
+from .operators import BlochVector, DenseOperator, _projector_stack, sigma_stack
 from .frames import Frame, polyhedron_vectors
 
 FOUR_PI = 4.0 * math.pi
@@ -33,25 +33,43 @@ def _mode_contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.nda
 
     Each matrix has shape (M_k, 4) (or (M_k, old axis length)); the result has
     shape (M_1, ..., M_N).  Axes are consumed from the front and appended at
-    the back, which keeps the qubit order intact.
+    the back, which keeps the qubit order intact.  This is the package's one
+    per-qubit contraction: w is multilinear in the Bloch vectors, so tables,
+    Pauli tensors, slopes and reconstructions are all such mode products.
     """
     out = tensor
     for m in matrices:
-        out = np.tensordot(out, m, axes=([0], [1]))
-    return out
+        out = out.reshape(m.shape[1], -1).T @ m.T
+    return out.reshape([m.shape[0] for m in matrices])
+
+
+def _bloch_rows(nodes: np.ndarray) -> np.ndarray:
+    """Rows (1/3, n) for (M, 3) unit vectors n: w's weights on (1, sigma)."""
+    nodes = np.asarray(nodes, dtype=float)
+    rows = np.empty((nodes.shape[0], 4))
+    rows[:, 0] = 1.0 / 3.0
+    rows[:, 1:] = nodes
+    return rows
 
 
 def _assemble_product(weights: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Sum weights[idx] * stack_1[i_1] x ... x stack_N[i_N] as a dense matrix."""
     n = weights.ndim
-    out = weights
-    for s in stacks:
-        out = np.tensordot(out, s, axes=([0], [0]))
+    # stack k as a (4, K_k) matrix of its flattened (i_k, j_k) entries
+    out = _mode_contract(weights, [s.reshape(len(s), 4).T for s in stacks])
     # axes are now (i_1, j_1, ..., i_N, j_N); interleave into row/column blocks
     perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    out = out.transpose(perm)
     d = 2**n
-    return out.reshape(d, d)
+    return out.reshape((2,) * (2 * n)).transpose(perm).reshape(d, d)
+
+
+def _assemble_hermitian(
+    values: np.ndarray, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray]
+) -> DenseOperator:
+    """Hermitian part of sum over product nodes of values * prod_k weight_k P(n_k)."""
+    stacks = [_projector_stack(v) * w[:, None, None] for v, w in zip(nodes, weights)]
+    m = _assemble_product(values, stacks)
+    return DenseOperator(0.5 * (m + m.conj().T), values.ndim, hermitian=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,13 +99,7 @@ class PauliCoefficients:
         """
         if len(nodes_per_qubit) != self.qubits:
             raise ValueError("need one node array per qubit")
-        mats = []
-        for nodes in nodes_per_qubit:
-            nodes = np.asarray(nodes, dtype=float)
-            m = np.empty((nodes.shape[0], 4))
-            m[:, 0] = 1.0 / 3.0
-            m[:, 1:] = nodes
-            mats.append(m)
+        mats = [_bloch_rows(nodes) for nodes in nodes_per_qubit]
         scale = (3.0 / FOUR_PI) ** self.qubits
         return scale * _mode_contract(self.coeffs, mats)
 
@@ -122,13 +134,12 @@ def pauli_coefficients(rho: DenseOperator, tol: float = 1e-10) -> PauliCoefficie
         raise ValueError(f"pauli_coefficients needs a Hermitian input (|A - A^dag| = {err:g})")
     n = rho.qubits
     t = rho.matrix.reshape((2,) * (2 * n))
-    # bring axes to (i_1, j_1, i_2, j_2, ...)
+    # bring axes to (i_1, j_1, i_2, j_2, ...) and merge each pair into one
     perm = [ax for k in range(n) for ax in (k, n + k)]
-    t = np.transpose(t, perm)
-    sig = sigma_stack()
-    for _ in range(n):
-        # tr picks up sigma[j, i], so contract (i, j) with sigma axes (2, 1)
-        t = np.tensordot(t, sig, axes=([0, 1], [2, 1]))
+    t = np.transpose(t, perm).reshape((4,) * n)
+    # tr picks up sigma[j, i], so row b of the matrix is sigma_b transposed
+    sig = sigma_stack().transpose(0, 2, 1).reshape(4, 4)
+    t = _mode_contract(t, [sig] * n)
     imag = float(np.max(np.abs(t.imag)))
     if imag > 1e-12:
         raise ValueError(f"coefficients came out complex (residual {imag:g})")
@@ -157,65 +168,38 @@ def wcan_continuous(c: PauliCoefficients, n_tuple: Sequence[BlochVector]) -> flo
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
-    """Expansion coefficients of one density operator.
+    """Expansion coefficients of one density operator over product frames.
 
-    Discrete mode stores a real weight tensor over per-qubit frame indices.
-    Continuous mode wraps PauliCoefficients and evaluates the canonical
-    expansion function on demand instead of storing samples.
+    weights is a real tensor over per-qubit frame indices, one frame per
+    qubit; entry (a_1, ..., a_N) weighs P_a1 x ... x P_aN.  The continuous
+    expansion function is evaluated from PauliCoefficients instead.
     """
 
-    mode: str
-    qubits: int
-    frames: tuple[Frame, ...] | None = None
-    weights: np.ndarray | None = None
-    pauli: PauliCoefficients | None = None
+    frames: tuple[Frame, ...]
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.mode == "discrete":
-            if self.frames is None or self.weights is None:
-                raise ValueError("discrete tables need frames and weights")
-            w = np.array(self.weights, dtype=float)
-            expected = tuple(f.size for f in self.frames)
-            if w.shape != expected:
-                raise ValueError(f"weight tensor shape {w.shape} does not match frame sizes {expected}")
-            if len(self.frames) != self.qubits:
-                raise ValueError("need one frame per qubit")
-            w.setflags(write=False)
-            object.__setattr__(self, "weights", w)
-        elif self.mode == "continuous":
-            if self.pauli is None or self.pauli.qubits != self.qubits:
-                raise ValueError("continuous tables need matching PauliCoefficients")
-        else:
-            raise ValueError(f"unknown table mode {self.mode!r}")
+        frames = tuple(self.frames)
+        w = np.array(self.weights, dtype=float)
+        expected = tuple(f.size for f in frames)
+        if w.shape != expected:
+            raise ValueError(f"weight tensor shape {w.shape} does not match frame sizes {expected}")
+        w.setflags(write=False)
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def discrete(cls, frames: Sequence[Frame], weights: np.ndarray) -> "CoefficientTable":
-        frames = tuple(frames)
-        return cls("discrete", len(frames), frames=frames, weights=weights)
-
-    @classmethod
-    def continuous(cls, pauli: PauliCoefficients) -> "CoefficientTable":
-        return cls("continuous", pauli.qubits, pauli=pauli)
-
-    def evaluate(self, n_tuple: Sequence[BlochVector]) -> float:
-        if self.mode != "continuous":
-            raise ValueError("evaluate applies to continuous tables; discrete ones are indexed")
-        return wcan_continuous(self.pauli, n_tuple)
+    @property
+    def qubits(self) -> int:
+        return len(self.frames)
 
     def min_entry(self) -> float:
-        if self.mode != "discrete":
-            raise ValueError("min_entry applies to discrete tables")
         return float(self.weights.min())
 
     def total(self) -> float:
-        if self.mode != "discrete":
-            raise ValueError("total applies to discrete tables")
         return float(self.weights.sum())
 
     def write_csv(self, stream: TextIO, comments: bool = True) -> None:
         """Rows idx_1,...,idx_N,weight in lexicographic index order."""
-        if self.mode != "discrete":
-            raise ValueError("CSV export applies to discrete tables")
         n = self.qubits
         if comments:
             stream.write("# discrete expansion table: one row per frame multi-index\n")
@@ -253,16 +237,13 @@ def wcan_discrete(rho: DenseOperator, frames: Sequence[Frame]) -> CoefficientTab
     c = pauli_coefficients(rho)
     mats = [f.dual_pauli_matrix() for f in frames]
     weights = _mode_contract(c.coeffs, mats)
-    return CoefficientTable.discrete(frames, weights)
+    return CoefficientTable(frames, weights)
 
 
 def reconstruct_discrete(table: CoefficientTable) -> DenseOperator:
     """Rebuild sum_idx w(idx) P_idx1 x ... x P_idxN from a discrete table."""
-    if table.mode != "discrete":
-        raise ValueError("reconstruct_discrete needs a discrete table")
-    stacks = [np.array([p.matrix for p in f.projectors]) for f in table.frames]
-    m = _assemble_product(table.weights, stacks)
-    return DenseOperator(0.5 * (m + m.conj().T), table.qubits, hermitian=True)
+    vertices = [np.array(f.vectors, dtype=float) for f in table.frames]
+    return _assemble_hermitian(table.weights, vertices, [np.ones(f.size) for f in table.frames])
 
 
 # --- sphere quadrature ------------------------------------------------------
@@ -360,14 +341,5 @@ def reconstruct_continuous(
                 f"quadrature for qubit {k} must integrate degree <= {degree} spherical "
                 f"polynomials exactly (residual {quad.degree_residual(degree):g})"
             )
-    values = rep.node_values([q.nodes for q in quads])
-    sig = sigma_stack()
-    stacks = []
-    for quad in quads:
-        proj = 0.5 * (
-            sig[0][None, :, :]
-            + np.tensordot(quad.nodes, sig[1:], axes=([1], [0]))
-        )
-        stacks.append(proj * quad.weights[:, None, None])
-    m = _assemble_product(values, stacks)
-    return DenseOperator(0.5 * (m + m.conj().T), n, hermitian=True)
+    nodes = [q.nodes for q in quads]
+    return _assemble_hermitian(rep.node_values(nodes), nodes, [q.weights for q in quads])

@@ -9,7 +9,6 @@ transpose criterion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,7 @@ def certify(
 ) -> SeparabilityCertificate:
     """Check a claimed product representation of rho and grade it.
 
-    `representation` is a discrete CoefficientTable or a ProductEnsemble
+    `representation` is a CoefficientTable or a ProductEnsemble
     (anything with .mixture() and a frame-indexed table is accepted via
     duck typing).  A representation that fails to reconstruct rho raises
     CertificateError; one that reconstructs it earns "separable" when all
@@ -57,8 +56,6 @@ def certify(
         table = None
     else:
         table = representation
-        if table.mode != "discrete":
-            raise CertificateError("only discrete tables certify separability")
         recon = reconstruct_discrete(table)
     err = float(np.linalg.norm(recon.matrix - rho.matrix))
     if err > recon_tol:
@@ -97,9 +94,6 @@ class WitnessReport:
             "verdict": self.verdict,
             "detail": self.detail,
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 def _verdict(value: float, threshold: float) -> str:

@@ -92,6 +92,14 @@ def _eps_cat(n: int, eps: float) -> DenseOperator:
     return DenseOperator(m, n, hermitian=True)
 
 
+def pure_target(family: str, qubits: int) -> DenseOperator | None:
+    """The pure target rho_1 of an eps-family on `qubits` qubits, or None for
+    a family that has none."""
+    if family in ("cat", "eps_cat", "werner", "eps_ghz"):
+        return _eps_cat(qubits, 1.0)
+    return None
+
+
 def _require_epsilon(spec: StateSpec) -> float:
     if spec.epsilon is None:
         raise ValueError(f"family {spec.family!r} needs an epsilon")
@@ -312,4 +320,4 @@ def ensemble_to_table(e: ProductEnsemble, frames: Sequence[Frame]) -> Coefficien
                 )
             idx.append(a)
         weights[tuple(idx)] += p
-    return CoefficientTable.discrete(frames, weights)
+    return CoefficientTable(frames, weights)

@@ -250,6 +250,29 @@ def test_witness_subcommand(capsys):
     assert abs(report["value"] - 1.5) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "argv, nested",
+    [
+        (["min-wcan", "--state", '{"family": "werner", "epsilon": 0.2}', "--grid", "8", "--refine", "0"],
+         ("argmin", "grid_ties")),
+        (["witness", "--name", "ghz", "--state", '{"family": "eps_ghz", "epsilon": 0.5}'], ("detail",)),
+    ],
+)
+def test_csv_row_holds_nested_values_as_json(capsys, argv, nested):
+    import csv
+
+    code, out, err = run_cli(capsys, ["--format", "csv", *argv])
+    assert code == 0
+    header, *rows = list(csv.reader(out.splitlines()))
+    assert len(rows) == 1 and len(rows[0]) == len(header)
+    record = dict(zip(header, rows[0]))
+    code, out, err = run_cli(capsys, ["--format", "json", *argv])
+    report = json.loads(out)
+    assert header == list(report)
+    for key in nested:
+        assert json.loads(record[key]) == report[key]
+
+
 def test_witness_from_coefficients(capsys):
     coeffs = {"n": 2, "coeffs": {"00": 1.0, "11": 0.6, "22": -0.6, "33": 0.6}}
     code, out, err = run_cli(

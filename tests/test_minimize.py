@@ -15,6 +15,7 @@ from blochframes import (
     threshold_search,
     wcan_continuous,
 )
+from blochframes.minimize import _slope
 from conftest import random_density
 
 FOUR_PI = 4 * math.pi
@@ -135,7 +136,7 @@ def test_mix_with_identity_epsilon_range(rng):
 
 def test_threshold_search_cat_small_grid():
     pure = pauli_coefficients(build_state(StateSpec("cat", qubits=2)))
-    thr = threshold_search(pure, grid_per_sphere=12, refine_iters=1, tol=1e-6)
+    thr = threshold_search(pure, grid_per_sphere=12, refine_iters=1)
     assert abs(thr - 1 / 9) < 1e-5
 
 
@@ -217,3 +218,18 @@ def test_refinement_takes_few_rounds(rng, monkeypatch):
         grid_only = minimize_wcan(c, grid_per_sphere=12, refine_iters=0).value
         assert minimize_wcan(c, grid_per_sphere=12, refine_iters=1).value <= grid_only
     assert max(rounds) <= 12
+
+
+def test_slope_matches_node_value_differences(rng):
+    # w is affine in n_k, so with the other qubits fixed its slope along e_a is
+    # w(n_k = e_a) - w(n_k = 0); _slope returns it over the (3 / 4 pi)^N scale
+    for n in (1, 2, 3, 4):
+        c = pauli_coefficients(random_density(rng, n))
+        vecs = rng.normal(size=(n, 3))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        for k in range(n):
+            nodes = [v[None, :] for v in vecs]
+            nodes[k] = np.vstack([np.zeros(3), np.eye(3)])
+            values = c.node_values(nodes).reshape(4)
+            scale = (3.0 / FOUR_PI) ** n
+            assert np.abs(_slope(c, vecs, k) - (values[1:] - values[0]) / scale).max() < 1e-12

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochframes import (
     BlochVector,
@@ -27,6 +29,7 @@ from blochframes import (
     wcan_discrete,
 )
 from blochframes.cli import main
+from blochframes.representations import _mode_contract
 from conftest import random_density, random_hermitian
 
 FOUR_PI = 4 * math.pi
@@ -347,14 +350,14 @@ def test_shared_quadrature_still_checks_exactness(rng):
 def test_table_validation():
     frames = [build_frame("cardinal6")]
     with pytest.raises(ValueError):
-        CoefficientTable.discrete(frames, np.zeros((5,)))
+        CoefficientTable(frames, np.zeros((5,)))
     with pytest.raises(ValueError):
-        CoefficientTable.discrete(frames, np.zeros((6, 6)))
+        CoefficientTable(frames, np.zeros((6, 6)))
 
 
 def test_reconstruct_discrete_uniform_octahedron():
     f = build_frame("octahedron")
-    t = CoefficientTable.discrete([f], np.full(6, 1 / 6))
+    t = CoefficientTable([f], np.full(6, 1 / 6))
     back = reconstruct_discrete(t)
     assert np.abs(back.matrix - np.eye(2) / 2).max() < 1e-14
 
@@ -364,3 +367,25 @@ def test_star_import_exposes_expansions():
     exec("from blochframes import *", namespace)
     assert "wcan_discrete" in namespace
     assert "wcan_continuous" in namespace
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 7), min_size=1, max_size=5),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_mode_contract_matches_einsum(sizes, complex_input, seed):
+    rng = np.random.default_rng(seed)
+    n = len(sizes)
+    tensor = rng.normal(size=(4,) * n)
+    if complex_input:
+        tensor = tensor + 1j * rng.normal(size=(4,) * n)
+    mats = [rng.normal(size=(m, 4)) for m in sizes]
+    # axis k of the tensor meets axis 1 of matrix k; the result keeps qubit order
+    axes, outs = "abcde"[:n], "ABCDE"[:n]
+    spec = ",".join([axes] + [o + a for o, a in zip(outs, axes)]) + "->" + outs
+    expected = np.einsum(spec, tensor, *mats)
+    out = _mode_contract(tensor, mats)
+    assert out.shape == tuple(sizes)
+    assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())

@@ -63,15 +63,6 @@ def test_certify_rejects_wrong_state():
         certify(rho, table)
 
 
-def test_certify_rejects_continuous_table():
-    from blochframes import CoefficientTable
-
-    rho = build_state(StateSpec("werner", epsilon=0.2))
-    rep = CoefficientTable.continuous(pauli_coefficients(rho))
-    with pytest.raises(CertificateError):
-        certify(rho, rep)
-
-
 def test_witness_werner_values():
     for eps, value, verdict in (
         (0.5, 1.5, "nonseparable"),

@@ -133,31 +133,49 @@ def frame_check(vectors: Sequence[BlochVector], tol: float = 1e-10) -> FrameChec
 class Frame:
     """A spanning projector family with its dual operators.
 
-    vectors[a], projectors[a] and duals[a] line up index by index.  For the
-    cardinal6 kind the flat index is 2*(j-1) + mu, i.e. the order
-    +x, -x, +y, -y, +z, -z.
+    projector_stack and dual_stack are read-only (K, 2, 2) arrays holding the
+    projectors P_a and the duals Q_a; vectors[a], projector_stack[a] and
+    dual_stack[a] line up index by index.  For the cardinal6 kind the flat
+    index is 2*(j-1) + mu, i.e. the order +x, -x, +y, -y, +z, -z.
     """
 
     kind: str
     vectors: tuple[BlochVector, ...]
-    projectors: tuple[DenseOperator, ...]
-    duals: tuple[DenseOperator, ...]
+    projector_stack: np.ndarray
+    dual_stack: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = (len(self.vectors), 2, 2)
+        for name in ("projector_stack", "dual_stack"):
+            stack = np.array(getattr(self, name), dtype=complex, order="C")
+            if stack.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {stack.shape}")
+            stack.setflags(write=False)
+            object.__setattr__(self, name, stack)
 
     @property
     def size(self) -> int:
         return len(self.vectors)
 
+    @functools.cached_property
+    def projectors(self) -> tuple[DenseOperator, ...]:
+        """The projectors as operators, built on first access."""
+        return tuple(DenseOperator(p, 1, hermitian=True) for p in self.projector_stack)
+
+    @functools.cached_property
+    def duals(self) -> tuple[DenseOperator, ...]:
+        """The duals as operators, built on first access."""
+        return tuple(DenseOperator(q, 1, hermitian=True) for q in self.dual_stack)
+
     def resolution_residual(self) -> float:
         """Frobenius distance of sum_a |P_a)(Q_a| from the identity superoperator."""
-        total = np.zeros((4, 4), dtype=complex)
-        for p, q in zip(self.projectors, self.duals):
-            total += np.outer(vec_operator(p.matrix), vec_operator(q.matrix).conj())
-        return float(np.linalg.norm(total - np.eye(4)))
+        vp = self.projector_stack.transpose(0, 2, 1).reshape(-1, 4)
+        vq = self.dual_stack.transpose(0, 2, 1).reshape(-1, 4)
+        return float(np.linalg.norm(vp.T @ vq.conj() - np.eye(4)))
 
     def dual_pauli_matrix(self) -> np.ndarray:
         """Row a holds the expansion of Q_a over (1, sigma_1, sigma_2, sigma_3)/2."""
-        duals = np.array([q.matrix for q in self.duals])
-        return 0.5 * np.einsum("aij,bji->ab", duals, sigma_stack()).real
+        return 0.5 * np.einsum("aij,bji->ab", self.dual_stack, sigma_stack()).real
 
 
 def dual_frame(vectors: Sequence[BlochVector], kind: str = "custom") -> Frame:
@@ -173,7 +191,8 @@ def dual_frame(vectors: Sequence[BlochVector], kind: str = "custom") -> Frame:
         raise ValueError("a frame needs at least one vector")
     arr = np.array(vectors, dtype=float)
     norms = np.sqrt((arr * arr).sum(axis=1))
-    off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+    # written so that a NaN norm fails too
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
     if off.size:
         raise ValueError(f"expected a unit Bloch vector, got norm {float(norms[off[0]])!r}")
     projectors = _projector_stack(arr)
@@ -191,12 +210,7 @@ def dual_frame(vectors: Sequence[BlochVector], kind: str = "custom") -> Frame:
     # one matrix-vector product per projector, which rounds like ginv @ vec(P_a)
     duals = (ginv @ vecs[:, :, None]).reshape(-1, 2, 2).transpose(0, 2, 1)
     duals = 0.5 * (duals + duals.conj().transpose(0, 2, 1))
-    return Frame(
-        kind,
-        vectors,
-        tuple(DenseOperator(p, 1, hermitian=True) for p in projectors),
-        tuple(DenseOperator(q, 1, hermitian=True) for q in duals),
-    )
+    return Frame(kind, vectors, projectors, duals)
 
 
 def continuous_dual(n: BlochVector) -> DenseOperator:

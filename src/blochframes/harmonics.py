@@ -22,6 +22,7 @@ from .representations import FOUR_PI, PauliCoefficients, _mode_contract
 
 # column order of the canonical (l <= 1) block
 CANONICAL_LM = ((0, 0), (1, -1), (1, 0), (1, 1))
+_CANONICAL_L, _CANONICAL_M = np.array(CANONICAL_LM).T
 
 HoshKey = tuple[tuple[int, int], ...]
 HoshTerm = tuple[HoshKey, complex]
@@ -41,10 +42,15 @@ _PAULI_TO_SPH = np.array(
 _SPH_TO_PAULI = np.linalg.inv(_PAULI_TO_SPH)
 
 
-def sph_y(l: int, m: int, theta, phi) -> np.ndarray:
-    """Spherical harmonic Y_l^m at polar angle theta, azimuth phi."""
-    if abs(m) > l:
-        raise ValueError(f"|m| = {abs(m)} exceeds l = {l}")
+def sph_y(l, m, theta, phi) -> np.ndarray:
+    """Spherical harmonic Y_l^m at polar angle theta, azimuth phi.
+
+    All four arguments broadcast against each other.
+    """
+    if np.any(np.abs(m) > l):
+        ls, ms = (a.ravel() for a in np.broadcast_arrays(l, m))
+        i = np.flatnonzero(np.abs(ms) > ls)[0]
+        raise ValueError(f"|m| = {abs(ms[i])} exceeds l = {ls[i]}")
     # imported here: scipy.special dominates the package's import time
     from scipy.special import sph_harm_y
 
@@ -94,12 +100,10 @@ class SphCoefficients:
         if len(nodes_per_qubit) != self.qubits:
             raise ValueError("need one node array per qubit")
         angles = [_node_angles(nodes) for nodes in nodes_per_qubit]
-        mats = []
-        for theta, phi in angles:
-            m = np.empty((theta.size, 4), dtype=complex)
-            for col, (l, mm) in enumerate(CANONICAL_LM):
-                m[:, col] = sph_y(l, mm, theta, phi)
-            mats.append(m)
+        mats = [
+            sph_y(_CANONICAL_L, _CANONICAL_M, theta[:, None], phi[:, None])
+            for theta, phi in angles
+        ]
         total = _mode_contract(self.canonical, mats)
         for key, coeff in self.hosh:
             term = np.array(coeff)

@@ -80,7 +80,8 @@ class DenseOperator:
             )
         if self.hermitian:
             err = float(np.max(np.abs(m - m.conj().T)))
-            if err > HERMITIAN_FLAG_ATOL:
+            # written so that a NaN entry fails the check
+            if not err <= HERMITIAN_FLAG_ATOL:
                 raise ValueError(f"operator flagged Hermitian but |A - A^dag| = {err:g}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -159,7 +160,7 @@ def hermitian_eigenvalues(a: DenseOperator, tol: float = DEFAULT_VALIDATION_TOL)
     Raises if the input fails the Hermiticity check at the given tolerance.
     """
     err = a.hermiticity_error()
-    if err > tol:
+    if not err <= tol:
         raise ValueError(f"operator is not Hermitian within {tol:g} (|A - A^dag| = {err:g})")
     sym = 0.5 * (a.matrix + a.matrix.conj().T)
     return np.linalg.eigvalsh(sym)
@@ -176,9 +177,12 @@ class DensityCheck(NamedTuple):
 def validate_density(a: DenseOperator, tol: float = DEFAULT_VALIDATION_TOL) -> DensityCheck:
     """Check the three density-operator properties and report what failed.
 
-    Passes iff the matrix is Hermitian within tol, has unit trace within tol,
-    and its smallest eigenvalue is at least -tol.
+    Passes iff every entry is finite, the matrix is Hermitian within tol, has
+    unit trace within tol, and its smallest eigenvalue is at least -tol.
     """
+    # a NaN entry would pass every comparison below, since each one is False
+    if not np.isfinite(a.matrix).all():
+        return DensityCheck(False, math.nan, math.nan, math.nan, "non-finite entries")
     herm = a.hermiticity_error()
     tr_err = abs(a.trace() - 1.0)
     sym = 0.5 * (a.matrix + a.matrix.conj().T)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -63,11 +63,8 @@ def _assemble_product(weights: np.ndarray, stacks: Sequence[np.ndarray]) -> np.n
     return out.reshape((2,) * (2 * n)).transpose(perm).reshape(d, d)
 
 
-def _assemble_hermitian(
-    values: np.ndarray, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray]
-) -> DenseOperator:
-    """Hermitian part of sum over product nodes of values * prod_k weight_k P(n_k)."""
-    stacks = [_projector_stack(v) * w[:, None, None] for v, w in zip(nodes, weights)]
+def _assemble_hermitian(values: np.ndarray, stacks: Sequence[np.ndarray]) -> DenseOperator:
+    """Hermitian part of sum over product indices of values * stack_1 x ... x stack_N."""
     m = _assemble_product(values, stacks)
     return DenseOperator(0.5 * (m + m.conj().T), values.ndim, hermitian=True)
 
@@ -83,6 +80,8 @@ class PauliCoefficients:
         c = np.array(self.coeffs, dtype=float)
         if c.shape != (4,) * self.qubits:
             raise ValueError(f"coefficient tensor must have shape {(4,) * self.qubits}")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficient tensor has non-finite entries")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -130,7 +129,7 @@ def pauli_coefficients(rho: DenseOperator, tol: float = 1e-10) -> PauliCoefficie
     O(N 4^N) rather than one trace per Pauli string.
     """
     err = rho.hermiticity_error()
-    if err > tol:
+    if not err <= tol:
         raise ValueError(f"pauli_coefficients needs a Hermitian input (|A - A^dag| = {err:g})")
     n = rho.qubits
     t = rho.matrix.reshape((2,) * (2 * n))
@@ -242,8 +241,7 @@ def wcan_discrete(rho: DenseOperator, frames: Sequence[Frame]) -> CoefficientTab
 
 def reconstruct_discrete(table: CoefficientTable) -> DenseOperator:
     """Rebuild sum_idx w(idx) P_idx1 x ... x P_idxN from a discrete table."""
-    vertices = [np.array(f.vectors, dtype=float) for f in table.frames]
-    return _assemble_hermitian(table.weights, vertices, [np.ones(f.size) for f in table.frames])
+    return _assemble_hermitian(table.weights, [f.projector_stack for f in table.frames])
 
 
 # --- sphere quadrature ------------------------------------------------------
@@ -267,10 +265,15 @@ def _double_factorial(k: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SphereQuadrature:
-    """Nodes and weights for integrating functions over one Bloch sphere."""
+    """Nodes and weights for integrating functions over one Bloch sphere.
+
+    Nodes and weights are read-only, so degree_residual computes each degree's
+    residual once and keeps it.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
+    _residuals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         nodes = np.array(self.nodes, dtype=float)
@@ -288,6 +291,8 @@ class SphereQuadrature:
 
     def degree_residual(self, degree: int) -> float:
         """Worst monomial-moment error over all total degrees <= degree."""
+        if degree in self._residuals:
+            return self._residuals[degree]
         exps = [
             (a, b, c)
             for a in range(degree + 1)
@@ -297,7 +302,9 @@ class SphereQuadrature:
         exact = [_sphere_monomial_integral(*e) for e in exps]
         monomials = np.prod(self.nodes[:, None, :] ** np.reshape(exps, (-1, 3)), axis=2)
         approx = np.sum(self.weights[:, None] * monomials, axis=0)
-        return float(np.max(np.abs(approx - exact), initial=0.0))
+        residual = float(np.max(np.abs(approx - exact), initial=0.0))
+        self._residuals[degree] = residual
+        return residual
 
     def is_exact_to_degree(self, degree: int, tol: float = 1e-8) -> bool:
         return self.degree_residual(degree) <= tol
@@ -342,4 +349,5 @@ def reconstruct_continuous(
                 f"polynomials exactly (residual {quad.degree_residual(degree):g})"
             )
     nodes = [q.nodes for q in quads]
-    return _assemble_hermitian(rep.node_values(nodes), nodes, [q.weights for q in quads])
+    stacks = [_projector_stack(q.nodes) * q.weights[:, None, None] for q in quads]
+    return _assemble_hermitian(rep.node_values(nodes), stacks)

@@ -15,17 +15,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import (
-    BlochVector,
-    DenseOperator,
-    bloch_projector,
-    tensor,
-    validate_density,
-)
+from .operators import BlochVector, DenseOperator, _projector_stack, validate_density
 from .frames import Frame
 from .representations import CoefficientTable
 
 FAMILIES = ("maximally_mixed", "cat", "eps_cat", "werner", "eps_ghz", "custom_matrix")
+# complex entries per block of Kronecker products in ProductEnsemble.mixture
+_MIXTURE_BLOCK_ENTRIES = 1 << 20
 
 _PLUS = {
     1: BlochVector(1.0, 0.0, 0.0),
@@ -199,24 +195,46 @@ class ProductEnsemble:
     def __post_init__(self) -> None:
         terms = tuple(EnsembleTerm(float(p), tuple(v), str(lab)) for p, v, lab in self.terms)
         total = 0.0
+        # each test is written so that a NaN fails it
         for p, vectors, _ in terms:
-            if p < -1e-15:
+            if not p >= -1e-15:
                 raise ValueError(f"negative probability {p}")
             if len(vectors) != self.qubits:
                 raise ValueError(f"term has {len(vectors)} vectors, expected {self.qubits}")
             for v in vectors:
-                if abs(v.norm() - 1.0) > 1e-12:
+                if not abs(v.norm() - 1.0) <= 1e-12:
                     raise ValueError(f"ensemble vector {v} is not unit")
             total += p
-        if abs(total - 1.0) > 1e-14:
+        if not abs(total - 1.0) <= 1e-14:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "terms", terms)
 
     def mixture(self) -> DenseOperator:
-        m = np.zeros((2**self.qubits, 2**self.qubits), dtype=complex)
-        for p, vectors, _ in self.terms:
-            m += p * tensor([bloch_projector(v) for v in vectors]).matrix
-        return DenseOperator(m, self.qubits, hermitian=True)
+        """sum_t p_t P(n_t1) x ... x P(n_tN), built for blocks of terms at once.
+
+        The Kronecker factors are multiplied in qubit order, each product is
+        scaled by its probability, and the terms are added in order to a
+        running total, so the result rounds like the term-by-term sum.
+        """
+        n, d = self.qubits, 2**self.qubits
+        projectors = _projector_stack(self._vectors().reshape(-1, 3)).reshape(-1, n, 2, 2)
+        probs = np.array([p for p, _, _ in self.terms])
+        block = max(1, _MIXTURE_BLOCK_ENTRIES // (d * d))
+        m = np.zeros((d, d), dtype=complex)
+        for start in range(0, len(probs), block):
+            stop = start + block
+            kron = projectors[start:stop, 0]
+            for k in range(1, n):
+                f, dim = projectors[start:stop, k], 2 * kron.shape[1]
+                # np.kron per term: entry (2i + r, 2j + s) is kron[i, j] * f[r, s]
+                kron = (kron[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, dim, dim)
+            # row 0 carries the running total, so the sum over axis 0 adds in term order
+            m = np.concatenate([m[None], probs[start:stop, None, None] * kron]).sum(axis=0)
+        return DenseOperator(m, n, hermitian=True)
+
+    def _vectors(self) -> np.ndarray:
+        """The Bloch vectors as a (terms, qubits, 3) array."""
+        return np.array([vectors for _, vectors, _ in self.terms], dtype=float)
 
     def to_json(self) -> dict:
         return {
@@ -307,17 +325,21 @@ def ensemble_to_table(e: ProductEnsemble, frames: Sequence[Frame]) -> Coefficien
     frames = tuple(frames)
     if len(frames) != e.qubits:
         raise ValueError(f"expected {e.qubits} frames, got {len(frames)}")
-    arrays = [np.array([v.as_array() for v in f.vectors]) for f in frames]
+    vectors = e._vectors()
+    idx = np.empty(vectors.shape[:2], dtype=int)
+    off = np.empty(vectors.shape[:2], dtype=bool)
+    for k, f in enumerate(frames):
+        # (terms, vertices) distances of every term's vector to every vertex
+        vertices = np.array(f.vectors, dtype=float)
+        dist = np.linalg.norm(vertices[None, :, :] - vectors[:, k, None, :], axis=2)
+        idx[:, k] = np.argmin(dist, axis=1)
+        off[:, k] = ~(dist.min(axis=1) <= 1e-12)
+    if off.any():
+        t, k = np.argwhere(off)[0]
+        raise ValueError(
+            f"ensemble vector {tuple(e.terms[t].vectors[k])} is not a vertex of qubit {k}'s frame"
+        )
     weights = np.zeros(tuple(f.size for f in frames))
-    for p, vectors, _ in e.terms:
-        idx = []
-        for k, v in enumerate(vectors):
-            dist = np.linalg.norm(arrays[k] - v.as_array()[None, :], axis=1)
-            a = int(np.argmin(dist))
-            if dist[a] > 1e-12:
-                raise ValueError(
-                    f"ensemble vector {tuple(v)} is not a vertex of qubit {k}'s frame"
-                )
-            idx.append(a)
-        weights[tuple(idx)] += p
+    # unbuffered, in term order: repeated indices add up like a term loop
+    np.add.at(weights, tuple(idx.T), [p for p, _, _ in e.terms])
     return CoefficientTable(frames, weights)

@@ -384,3 +384,34 @@ def test_repeated_calls_identical_output(capsys):
     second = run_cli(capsys, argv)
     assert first[0] == second[0] == 0
     assert first[1] == second[1]
+
+
+_NAN_STATE = (
+    '{"family":"custom_matrix","matrix":'
+    "[[NaN,0,0,0],[0,0.25,0,0],[0,0,0.25,0],[0,0,0,0.25]]}"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ppt", "--state", _NAN_STATE],
+        ["--format", "json", "coeffs", "--state", _NAN_STATE],
+        ["witness", "--name", "werner", "--state", _NAN_STATE],
+    ],
+)
+def test_nan_state_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "non-finite entries" in err
+
+
+def test_nan_coefficient_is_input_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["witness", "--name", "werner", "--coeffs", '{"n": 2, "coeffs": {"00": 1, "11": NaN}}'],
+    )
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err

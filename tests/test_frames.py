@@ -292,3 +292,55 @@ def test_random_spanning_frames(raw):
         [[0.5 * np.real(np.trace(q.matrix @ sig[b])) for b in range(4)] for q in f.duals]
     )
     assert np.abs(f.dual_pauli_matrix() - per_dual).max() <= 1e-14
+
+
+def _every_frame_kind(rng):
+    """Every named frame plus seeded reflected and custom frames."""
+    frames = [build_frame(kind) for kind in
+              ("cardinal6", "tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron")]
+    for size in (1, 2, 3):
+        seeds = [unit(*(np.abs(rng.normal(size=3)) + 0.05)) for _ in range(size)]
+        frames.append(build_frame("reflected", seeds))
+    for size in (4, 5, 8, 12):
+        while True:
+            vs = [unit(*rng.normal(size=3)) for _ in range(size)]
+            a = np.hstack([np.ones((size, 1)), np.array(vs)])
+            if np.linalg.svd(a, compute_uv=False)[-1] >= 0.1:
+                break
+        frames.append(build_frame("custom", vs))
+    return frames
+
+
+def test_stacks_match_operator_views(rng):
+    sig = sigma_stack()
+    for f in _every_frame_kind(rng):
+        assert f.projector_stack.shape == f.dual_stack.shape == (f.size, 2, 2)
+        assert np.array_equal(f.projector_stack, np.array([p.matrix for p in f.projectors]))
+        assert np.array_equal(f.dual_stack, np.array([q.matrix for q in f.duals]))
+        # the projectors as bloch_projector builds them one by one
+        one_by_one = np.array([bloch_projector(v).matrix for v in f.vectors])
+        assert np.array_equal(f.projector_stack, one_by_one)
+        # dual_pauli_matrix as it was computed from the per-dual operators
+        per_dual = 0.5 * np.einsum("aij,bji->ab", np.array([q.matrix for q in f.duals]), sig).real
+        assert np.array_equal(f.dual_pauli_matrix(), per_dual)
+
+
+def test_operator_views_are_built_once():
+    f = build_frame("custom", list(polyhedron_vectors("cube")))
+    assert f.projectors is f.projectors
+    assert f.duals is f.duals
+    assert all(p.hermitian and q.hermitian for p, q in zip(f.projectors, f.duals))
+
+
+def test_named_frame_stacks_are_read_only():
+    for kind in ("cardinal6", "tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron"):
+        f = build_frame(kind)
+        for stack in (f.projector_stack, f.dual_stack):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 0.0
+
+
+def test_dual_frame_rejects_nan_vector():
+    with pytest.raises(ValueError, match="unit Bloch vector"):
+        dual_frame([BlochVector(math.nan, 0.0, 0.0)] + list(polyhedron_vectors("tetrahedron")))

@@ -183,3 +183,67 @@ def test_package_import_leaves_scipy_special_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _node_values_column_loop(s, nodes_per_qubit):
+    """SphCoefficients.node_values, its canonical matrix filled one sph_y column at a time."""
+    from blochframes.representations import _mode_contract
+
+    angles = [
+        (np.arccos(np.clip(nodes[:, 2], -1.0, 1.0)), np.arctan2(nodes[:, 1], nodes[:, 0]))
+        for nodes in nodes_per_qubit
+    ]
+    mats = []
+    for theta, phi in angles:
+        m = np.empty((theta.size, 4), dtype=complex)
+        for col, (l, mm) in enumerate(((0, 0), (1, -1), (1, 0), (1, 1))):
+            m[:, col] = sph_y(l, mm, theta, phi)
+        mats.append(m)
+    total = _mode_contract(s.canonical, mats)
+    for key, coeff in s.hosh:
+        term = np.array(coeff)
+        for (l, mm), (theta, phi) in zip(key, angles):
+            term = np.multiply.outer(term, sph_y(l, mm, theta, phi))
+        total = total + term
+    return total.real
+
+
+def test_node_values_match_column_loop(rng):
+    for n in (1, 2, 3):
+        s = sph_coefficients(pauli_coefficients(random_density(rng, n)))
+        key = ((3, 2),) + ((1, 0),) * (n - 1)
+        mirror = tuple((l, -m) for l, m in key)
+        # the m values of key sum to 2, so the mirror coefficient is the plain conjugate
+        aug = add_hosh(s, {key: 0.3 + 0.2j, mirror: 0.3 - 0.2j})
+        for size in (1, 5, 12):
+            nodes = [rng.normal(size=(size, 3)) for _ in range(n)]
+            nodes = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in nodes]
+            for coeffs in (s, aug):
+                expected = _node_values_column_loop(coeffs, nodes)
+                assert np.array_equal(coeffs.node_values(nodes), expected)
+
+
+def test_sph_y_broadcasts_and_checks_every_m():
+    ls, ms = np.array([0, 1, 1, 1]), np.array([0, -1, 0, 1])
+    theta, phi = np.array([0.2, 1.1, 2.9]), np.array([0.4, 3.0, 5.5])
+    grid = sph_y(ls, ms, theta[:, None], phi[:, None])
+    assert grid.shape == (3, 4)
+    for col, (l, m) in enumerate(zip(ls, ms)):
+        assert np.array_equal(grid[:, col], sph_y(int(l), int(m), theta, phi))
+    with pytest.raises(ValueError, match=r"\|m\| = 3 exceeds l = 2"):
+        sph_y(np.array([1, 2]), np.array([1, -3]), 0.3, 0.4)
+
+
+def test_quadrature_residual_kept_per_degree():
+    from blochframes import SphereQuadrature
+
+    shared = sphere_quadrature("octahedron")
+    fresh = SphereQuadrature(shared.nodes, shared.weights)
+    for degree in range(6):
+        first = fresh.degree_residual(degree)
+        assert fresh.degree_residual(degree) == first == shared.degree_residual(degree)
+    # the caller's tolerance still decides
+    assert fresh.is_exact_to_degree(3)
+    assert not fresh.is_exact_to_degree(3, tol=-1.0)
+    assert not fresh.is_exact_to_degree(4)
+    assert fresh.is_exact_to_degree(4, tol=10.0)

@@ -130,3 +130,18 @@ def test_validate_density(rng):
     check = validate_density(indefinite)
     assert not check.passed
     assert check.min_eigenvalue < 0
+
+
+def test_nan_entries_fail_every_check():
+    m = np.diag([math.nan, 0.25, 0.25, 0.25])
+    with pytest.raises(ValueError, match="flagged Hermitian"):
+        DenseOperator(m, 2, hermitian=True)
+    op = DenseOperator(m, 2)
+    check = validate_density(op)
+    assert not check.passed
+    assert check.reason == "non-finite entries"
+    assert math.isnan(check.min_eigenvalue)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigenvalues(op)
+    inf = DenseOperator(np.diag([math.inf, 0.25, 0.25, 0.25]), 2)
+    assert validate_density(inf).reason == "non-finite entries"

@@ -389,3 +389,11 @@ def test_mode_contract_matches_einsum(sizes, complex_input, seed):
     out = _mode_contract(tensor, mats)
     assert out.shape == tuple(sizes)
     assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+def test_pauli_coefficients_reject_non_finite():
+    for bad in (math.nan, math.inf):
+        c = np.zeros((4, 4))
+        c[0, 0], c[1, 1] = 1.0, bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PauliCoefficients(2, c)

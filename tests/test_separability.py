@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blochframes import (
+    BlochVector,
     CertificateError,
     DenseOperator,
+    EnsembleTerm,
+    ProductEnsemble,
     StateSpec,
     build_frame,
     build_state,
@@ -187,3 +194,44 @@ def test_soundness_ghz_sweep():
         cert = certify(rho, wcan_discrete(rho, frames))
         if refuted:
             assert cert.verdict != "separable", eps
+
+
+_direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+
+
+@st.composite
+def _product_ensembles(draw):
+    """Random product ensembles on 2 or 3 qubits with 4 to 8 terms."""
+    n = draw(st.sampled_from((2, 3)))
+    terms = draw(st.integers(4, 8))
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=terms, max_size=terms))
+    probs = np.array(raw) / sum(raw)
+    probs[-1] = 1.0 - probs[:-1].sum()
+    vectors = []
+    for _ in range(n):
+        vs = np.array(draw(st.lists(_direction, min_size=terms, max_size=terms)))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        # the qubit's own directions must span the operator space comfortably
+        a = np.hstack([np.ones((terms, 1)), vs])
+        assume(np.linalg.svd(a, compute_uv=False)[-1] >= 0.1)
+        vectors.append(vs)
+    return ProductEnsemble(n, tuple(
+        EnsembleTerm(float(p), tuple(BlochVector.from_array(vectors[k][t]) for k in range(n)))
+        for t, p in enumerate(probs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_product_ensembles())
+def test_random_product_ensembles_certify_and_pass_every_test(e):
+    n = e.qubits
+    frames = [build_frame("custom", [t.vectors[k] for t in e.terms]) for k in range(n)]
+    rho = e.mixture()
+    cert = certify(rho, ensemble_to_table(e, frames))
+    assert cert.verdict == "separable"
+    assert cert.reconstruction_error <= 1e-10
+    c = pauli_coefficients(rho)
+    if n == 2:
+        assert witness_werner(c).value <= 1 + 1e-12
+        assert ppt_min_eigenvalue(rho) >= -1e-12
+    else:
+        assert witness_ghz(c).value <= 1 + 1e-12

@@ -5,6 +5,7 @@ import pytest
 
 from blochframes import (
     BlochVector,
+    DenseOperator,
     EnsembleTerm,
     ProductEnsemble,
     StateSpec,
@@ -240,3 +241,109 @@ def test_ghz_pauli_pattern():
     assert set(nonzero) == set(expected)
     for k, v in expected.items():
         assert abs(nonzero[k] - v) < 1e-12
+
+
+def _mixture_term_loop(e):
+    """The term-by-term mixture: one np.kron product per term, added in order."""
+    m = np.zeros((2**e.qubits, 2**e.qubits), dtype=complex)
+    for p, vectors, _ in e.terms:
+        m += p * tensor([bloch_projector(v) for v in vectors]).matrix
+    return m
+
+
+def _random_ensemble(rng, n, terms):
+    probs = rng.dirichlet(np.ones(terms))
+    probs[-1] = 1.0 - probs[:-1].sum()
+    vectors = rng.normal(size=(terms, n, 3))
+    vectors /= np.linalg.norm(vectors, axis=2, keepdims=True)
+    return ProductEnsemble(n, tuple(
+        EnsembleTerm(float(p), tuple(BlochVector.from_array(v) for v in vs))
+        for p, vs in zip(probs, vectors)))
+
+
+def _test_ensembles(rng):
+    out = [werner_ensemble(), ghz_ensemble(),
+           dilute_with_mixed(werner_ensemble(), 0.6), dilute_with_mixed(ghz_ensemble(), 0.3)]
+    out += [_random_ensemble(rng, n, terms) for n in (1, 2, 3, 4) for terms in (1, 5, 17)]
+    return out
+
+
+def test_mixture_matches_term_loop(rng):
+    for e in _test_ensembles(rng):
+        assert np.array_equal(e.mixture().matrix, _mixture_term_loop(e))
+
+
+def test_mixture_in_small_blocks_matches_term_loop(rng, monkeypatch):
+    import blochframes.states as states
+
+    # 64 entries per block: a few terms per block at N <= 2, one term per block beyond
+    monkeypatch.setattr(states, "_MIXTURE_BLOCK_ENTRIES", 64)
+    for e in _test_ensembles(rng):
+        assert np.array_equal(e.mixture().matrix, _mixture_term_loop(e))
+
+
+def _table_term_loop(e, frames):
+    """The term-by-term table: nearest vertex per vector, weights added per term."""
+    arrays = [np.array([v.as_array() for v in f.vectors]) for f in frames]
+    weights = np.zeros(tuple(f.size for f in frames))
+    for p, vectors, _ in e.terms:
+        idx = []
+        for k, v in enumerate(vectors):
+            dist = np.linalg.norm(arrays[k] - v.as_array()[None, :], axis=1)
+            a = int(np.argmin(dist))
+            if dist[a] > 1e-12:
+                raise ValueError(
+                    f"ensemble vector {tuple(v)} is not a vertex of qubit {k}'s frame"
+                )
+            idx.append(a)
+        weights[tuple(idx)] += p
+    return weights
+
+
+def test_ensemble_to_table_matches_term_loop(rng):
+    cases = [(e, [build_frame("cardinal6")] * e.qubits) for e in _test_ensembles(rng)[:4]]
+    for n in (2, 3):
+        # repeated directions put several terms on one table entry
+        e = _random_ensemble(rng, n, 6)
+        terms = e.terms + tuple(EnsembleTerm(0.0, t.vectors) for t in e.terms[:3])
+        e = ProductEnsemble(n, terms)
+        frames = [build_frame("custom", [t.vectors[k] for t in e.terms[:6]]) for k in range(n)]
+        cases.append((e, frames))
+    for e, frames in cases:
+        assert np.array_equal(ensemble_to_table(e, frames).weights, _table_term_loop(e, frames))
+
+
+def test_ensemble_to_table_off_vertex_error_matches_term_loop():
+    x, z = BlochVector(1.0, 0.0, 0.0), BlochVector(0.0, 0.0, 1.0)
+    tilted, other = BlochVector.from_spherical(0.3, 0.4), BlochVector.from_spherical(1.2, 2.0)
+    e = ProductEnsemble(2, (
+        EnsembleTerm(0.25, (x, z)),
+        EnsembleTerm(0.25, (z, tilted)),
+        EnsembleTerm(0.5, (other, other)),
+    ))
+    frames = [build_frame("cardinal6")] * 2
+    with pytest.raises(ValueError) as expected:
+        _table_term_loop(e, frames)
+    with pytest.raises(ValueError) as err:
+        ensemble_to_table(e, frames)
+    assert str(err.value) == str(expected.value)
+    assert "qubit 1's frame" in str(err.value)
+
+
+def test_ensemble_rejects_nan():
+    z = BlochVector(0.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        ProductEnsemble(1, (EnsembleTerm(1.0, (BlochVector(math.nan, 0.0, 1.0),)),))
+    with pytest.raises(ValueError):
+        ProductEnsemble(1, (EnsembleTerm(math.nan, (z,)),))
+    with pytest.raises(ValueError):
+        ProductEnsemble(1, (EnsembleTerm(1.0, (z,)), EnsembleTerm(math.nan, (z,))))
+
+
+def test_custom_matrix_rejects_nan():
+    m = np.diag([math.nan, 0.25, 0.25, 0.25])
+    check = validate_density(DenseOperator(m, 2))
+    assert not check.passed
+    assert check.reason == "non-finite entries"
+    with pytest.raises(ValueError, match="non-finite entries"):
+        build_state(StateSpec("custom_matrix", matrix=m))

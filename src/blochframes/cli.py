@@ -24,6 +24,7 @@ import numpy as np
 
 from .frames import Frame, build_frame, frame_from_json
 from .minimize import minimize_wcan, threshold_search
+from .operators import RECONSTRUCTION_TOL, SIGN_TOL
 from .representations import PauliCoefficients, pauli_coefficients, wcan_discrete
 from .separability import ppt_min_eigenvalue, witness_ghz, witness_werner
 from .states import (
@@ -189,7 +190,7 @@ def cmd_verify_ensemble(args) -> int:
         )
     mixed = ensemble.mixture()
     deviation = float(np.max(np.abs(mixed.matrix - target.matrix)))
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else RECONSTRUCTION_TOL
     passed = deviation <= tol
     _emit(
         args,
@@ -258,7 +259,7 @@ def cmd_witness(args) -> int:
 def cmd_ppt(args) -> int:
     rho = build_state(_state_from_arg(args.state))
     value = ppt_min_eigenvalue(rho, transposed_side=args.side)
-    tol = args.tol if args.tol is not None else 1e-12
+    tol = args.tol if args.tol is not None else SIGN_TOL
     _emit(
         args,
         {

@@ -18,12 +18,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import BlochVector, DenseOperator, _projector_stack, sigma_stack
+from .operators import BlochVector, DenseOperator, _projector_stack, _require_unit, sigma_stack
 
 GRAM_RANK_CUTOFF = 1e-10
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -52,58 +52,6 @@ class NonSpanningFrameError(ValueError):
     """The supplied projectors do not span the single-qubit operator space."""
 
 
-def vec_operator(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization (columns concatenated top to bottom)."""
-    return np.asarray(m).reshape(-1, order="F")
-
-
-def unvec_operator(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v).reshape((dim, dim), order="F")
-
-
-@dataclass(frozen=True, eq=False)
-class Superoperator:
-    """A linear map on operators, stored as a D^2 x D^2 matrix.
-
-    The matrix acts on column-stacked operators, so apply() is just a
-    matrix-vector product in that vectorization.
-    """
-
-    matrix: np.ndarray
-    dim: int
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        d2 = self.dim * self.dim
-        if m.shape != (d2, d2):
-            raise ValueError(f"superoperator on dim {self.dim} needs shape {(d2, d2)}, got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, a: DenseOperator) -> DenseOperator:
-        if a.dim != self.dim:
-            raise ValueError("operator dimension does not match superoperator")
-        out = unvec_operator(self.matrix @ vec_operator(a.matrix), self.dim)
-        return DenseOperator(out, a.qubits)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues, assuming a Hermitian superoperator matrix."""
-        return np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))
-
-
-def gram(operators: Sequence[DenseOperator]) -> Superoperator:
-    """Gram superoperator sum_j |N_j)(N_j| of an operator family."""
-    if not operators:
-        raise ValueError("gram requires at least one operator")
-    dim = operators[0].dim
-    vecs = np.empty((len(operators), dim * dim), dtype=complex)
-    for i, op in enumerate(operators):
-        if op.dim != dim:
-            raise ValueError("gram requires operators of equal dimension")
-        vecs[i] = vec_operator(op.matrix)
-    return Superoperator(vecs.T @ vecs.conj(), dim)
-
-
 class FrameCheck(NamedTuple):
     passed: bool
     centroid_residual: float
@@ -119,10 +67,7 @@ def frame_check(vectors: Sequence[BlochVector], tol: float = 1e-10) -> FrameChec
     """
     if not vectors:
         raise ValueError("frame_check requires at least one vector")
-    arr = np.array([v.as_array() for v in vectors])
-    norms = np.linalg.norm(arr, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-12:
-        raise ValueError("frame_check requires unit vectors")
+    arr = _require_unit(vectors)
     centroid = float(np.linalg.norm(arr.mean(axis=0)))
     moments = arr.T @ arr / len(vectors)
     moment = float(np.linalg.norm(moments - np.eye(3) / 3.0))
@@ -143,6 +88,7 @@ class Frame:
     vectors: tuple[BlochVector, ...]
     projector_stack: np.ndarray
     dual_stack: np.ndarray
+    _dual_pauli: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         shape = (len(self.vectors), 2, 2)
@@ -152,6 +98,10 @@ class Frame:
                 raise ValueError(f"{name} must have shape {shape}, got {stack.shape}")
             stack.setflags(write=False)
             object.__setattr__(self, name, stack)
+        # built once here, since every wcan_discrete call reads it
+        dual_pauli = 0.5 * np.einsum("aij,bji->ab", self.dual_stack, sigma_stack()).real
+        dual_pauli.setflags(write=False)
+        object.__setattr__(self, "_dual_pauli", dual_pauli)
 
     @property
     def size(self) -> int:
@@ -174,8 +124,8 @@ class Frame:
         return float(np.linalg.norm(vp.T @ vq.conj() - np.eye(4)))
 
     def dual_pauli_matrix(self) -> np.ndarray:
-        """Row a holds the expansion of Q_a over (1, sigma_1, sigma_2, sigma_3)/2."""
-        return 0.5 * np.einsum("aij,bji->ab", self.dual_stack, sigma_stack()).real
+        """Row a holds the expansion of Q_a over (1, sigma_1, sigma_2, sigma_3)/2 (read-only)."""
+        return self._dual_pauli
 
 
 def dual_frame(vectors: Sequence[BlochVector], kind: str = "custom") -> Frame:
@@ -189,14 +139,9 @@ def dual_frame(vectors: Sequence[BlochVector], kind: str = "custom") -> Frame:
     vectors = tuple(vectors)
     if not vectors:
         raise ValueError("a frame needs at least one vector")
-    arr = np.array(vectors, dtype=float)
-    norms = np.sqrt((arr * arr).sum(axis=1))
-    # written so that a NaN norm fails too
-    off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
-    if off.size:
-        raise ValueError(f"expected a unit Bloch vector, got norm {float(norms[off[0]])!r}")
+    arr = _require_unit(vectors)
     projectors = _projector_stack(arr)
-    # rows are the column-stacked projectors, as in gram()
+    # rows are the column-stacked projectors
     vecs = projectors.transpose(0, 2, 1).reshape(len(vectors), 4)
     g = vecs.T @ vecs.conj()
     lam, basis = np.linalg.eigh(0.5 * (g + g.conj().T))
@@ -215,8 +160,7 @@ def dual_frame(vectors: Sequence[BlochVector], kind: str = "custom") -> Frame:
 
 def continuous_dual(n: BlochVector) -> DenseOperator:
     """Dual operator (1/4pi)(1 + 3 sigma.n) of the continuous projector frame."""
-    if abs(n.norm() - 1.0) > 1e-12:
-        raise ValueError(f"continuous_dual needs a unit vector, got norm {n.norm()!r}")
+    _require_unit(n)
     sig = sigma_stack()
     m = (sig[0] + 3.0 * (n.x * sig[1] + n.y * sig[2] + n.z * sig[3])) / (4.0 * math.pi)
     return DenseOperator(m, 1, hermitian=True)
@@ -290,8 +234,7 @@ def reflect_octant(seed: BlochVector | Sequence[BlochVector]) -> tuple[BlochVect
         raise ValueError("reflect_octant requires at least one seed vector")
     out = []
     for v in seed:
-        if abs(v.norm() - 1.0) > 1e-12:
-            raise ValueError(f"seed vector {v} is not unit")
+        _require_unit(v)
         if min(v.x, v.y, v.z) <= 0.0:
             raise ValueError(
                 f"seed vector {v} touches an octant boundary; all components must be > 0"

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .operators import BlochVector
 from .representations import FOUR_PI, PauliCoefficients, _mode_contract
 
 # column order of the canonical (l <= 1) block
@@ -114,12 +113,6 @@ class SphCoefficients:
         if imag > 1e-9:
             raise ValueError(f"expansion function is not real (imaginary residual {imag:g})")
         return total.real
-
-    def evaluate(self, n_tuple: Sequence[BlochVector]) -> float:
-        if len(n_tuple) != self.qubits:
-            raise ValueError(f"expected {self.qubits} vectors, got {len(n_tuple)}")
-        nodes = [np.asarray(v, dtype=float)[None, :] for v in n_tuple]
-        return float(self.node_values(nodes).reshape(()))
 
 
 def sph_coefficients(c: PauliCoefficients) -> SphCoefficients:

@@ -15,6 +15,9 @@ import numpy as np
 
 HERMITIAN_FLAG_ATOL = 1e-12
 DEFAULT_VALIDATION_TOL = 1e-10
+UNIT_NORM_TOL = 1e-12  # |norm - 1| up to which a Bloch vector counts as unit
+RECONSTRUCTION_TOL = 1e-10  # deviation of a reconstruction or mixture from its target
+SIGN_TOL = 1e-12  # slack on the sign of a weight, eigenvalue or witness value
 
 
 class BlochVector(NamedTuple):
@@ -51,9 +54,15 @@ class BlochVector(NamedTuple):
         return theta, phi
 
 
-def _require_unit(v: BlochVector, tol: float = 1e-12) -> None:
-    if abs(v.norm() - 1.0) > tol:
-        raise ValueError(f"expected a unit Bloch vector, got norm {v.norm()!r}")
+def _require_unit(vectors: BlochVector | Sequence[BlochVector]) -> np.ndarray:
+    """One Bloch vector or a sequence of them as a (K, 3) array; raises unless all are unit."""
+    arr = np.array(vectors, dtype=float).reshape(-1, 3)
+    norms = np.sqrt((arr * arr).sum(axis=1))
+    # written so that a NaN norm fails too
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+    if off.size:
+        raise ValueError(f"expected a unit Bloch vector, got norm {float(norms[off[0]])!r}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +135,7 @@ def pauli(index: int) -> DenseOperator:
 
 def bloch_projector(n: BlochVector) -> DenseOperator:
     """Rank-1 projector (1 + n.sigma)/2 onto the pure state along n."""
-    _require_unit(n)
-    return DenseOperator(_projector_stack(np.array([n]))[0], 1, hermitian=True)
+    return DenseOperator(_projector_stack(_require_unit(n))[0], 1, hermitian=True)
 
 
 def _projector_stack(nodes: np.ndarray) -> np.ndarray:

@@ -20,7 +20,14 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .operators import BlochVector, DenseOperator, _projector_stack, sigma_stack
+from .operators import (
+    DEFAULT_VALIDATION_TOL,
+    BlochVector,
+    DenseOperator,
+    _projector_stack,
+    _require_unit,
+    sigma_stack,
+)
 from .frames import Frame, polyhedron_vectors
 
 FOUR_PI = 4.0 * math.pi
@@ -122,7 +129,7 @@ class PauliCoefficients:
         return cls(n, c)
 
 
-def pauli_coefficients(rho: DenseOperator, tol: float = 1e-10) -> PauliCoefficients:
+def pauli_coefficients(rho: DenseOperator, tol: float = DEFAULT_VALIDATION_TOL) -> PauliCoefficients:
     """Pauli coefficient tensor of a Hermitian operator.
 
     Contracts each qubit of rho with the sigma stack, so the cost is
@@ -152,17 +159,16 @@ def pauli_to_operator(c: PauliCoefficients) -> DenseOperator:
     return DenseOperator(t / 2**n, n, hermitian=True)
 
 
-def wcan_continuous(c: PauliCoefficients, n_tuple: Sequence[BlochVector]) -> float:
-    """Canonical expansion function at one tuple of unit Bloch vectors."""
-    if len(n_tuple) != c.qubits:
-        raise ValueError(f"expected {c.qubits} vectors, got {len(n_tuple)}")
-    nodes = []
-    for v in n_tuple:
-        arr = np.asarray(v, dtype=float)
-        if abs(np.linalg.norm(arr) - 1.0) > 1e-12:
-            raise ValueError(f"vector {tuple(arr)} is not unit")
-        nodes.append(arr[None, :])
-    return float(c.node_values(nodes).reshape(()))
+def wcan_continuous(rep: object, n_tuple: Sequence[BlochVector]) -> float:
+    """Expansion function at one unit Bloch vector per qubit.
+
+    rep is anything exposing qubits and node_values (PauliCoefficients or SphCoefficients).
+    """
+    if len(n_tuple) != rep.qubits:
+        raise ValueError(f"expected {rep.qubits} vectors, got {len(n_tuple)}")
+    # one (1, 3) node array per qubit
+    nodes = _require_unit(n_tuple)[:, None, :]
+    return float(rep.node_values(nodes).reshape(()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +189,8 @@ class CoefficientTable:
         expected = tuple(f.size for f in frames)
         if w.shape != expected:
             raise ValueError(f"weight tensor shape {w.shape} does not match frame sizes {expected}")
+        if not np.isfinite(w).all():
+            raise ValueError("weight tensor has non-finite entries")
         w.setflags(write=False)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "weights", w)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DenseOperator, hermitian_eigenvalues
+from .operators import RECONSTRUCTION_TOL, SIGN_TOL, DenseOperator, hermitian_eigenvalues
 from .representations import CoefficientTable, PauliCoefficients, reconstruct_discrete
 
 
@@ -39,8 +39,8 @@ class SeparabilityCertificate:
 def certify(
     rho: DenseOperator,
     representation,
-    recon_tol: float = 1e-10,
-    coeff_tol: float = 1e-12,
+    recon_tol: float = RECONSTRUCTION_TOL,
+    coeff_tol: float = SIGN_TOL,
 ) -> SeparabilityCertificate:
     """Check a claimed product representation of rho and grade it.
 
@@ -58,7 +58,8 @@ def certify(
         table = representation
         recon = reconstruct_discrete(table)
     err = float(np.linalg.norm(recon.matrix - rho.matrix))
-    if err > recon_tol:
+    # written so that a NaN deviation fails too
+    if not err <= recon_tol:
         raise CertificateError(
             f"representation reconstructs a different state (deviation {err:.3e})"
         )
@@ -97,7 +98,7 @@ class WitnessReport:
 
 
 def _verdict(value: float, threshold: float) -> str:
-    return "nonseparable" if value > threshold + 1e-12 else "inconclusive"
+    return "nonseparable" if value > threshold + SIGN_TOL else "inconclusive"
 
 
 def witness_werner(c: PauliCoefficients) -> WitnessReport:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import BlochVector, DenseOperator, _projector_stack, validate_density
+from .operators import BlochVector, DenseOperator, _projector_stack, _require_unit, validate_density
 from .frames import Frame
 from .representations import CoefficientTable
 
@@ -191,6 +191,8 @@ class ProductEnsemble:
 
     qubits: int
     terms: tuple[EnsembleTerm, ...]
+    # the Bloch vectors as a read-only (terms, qubits, 3) array
+    _vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         terms = tuple(EnsembleTerm(float(p), tuple(v), str(lab)) for p, v, lab in self.terms)
@@ -201,13 +203,13 @@ class ProductEnsemble:
                 raise ValueError(f"negative probability {p}")
             if len(vectors) != self.qubits:
                 raise ValueError(f"term has {len(vectors)} vectors, expected {self.qubits}")
-            for v in vectors:
-                if not abs(v.norm() - 1.0) <= 1e-12:
-                    raise ValueError(f"ensemble vector {v} is not unit")
             total += p
+        vectors = _require_unit([v for _, term_vectors, _ in terms for v in term_vectors])
         if not abs(total - 1.0) <= 1e-14:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
+        vectors.setflags(write=False)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_vectors", vectors.reshape(len(terms), self.qubits, 3))
 
     def mixture(self) -> DenseOperator:
         """sum_t p_t P(n_t1) x ... x P(n_tN), built for blocks of terms at once.
@@ -217,7 +219,7 @@ class ProductEnsemble:
         running total, so the result rounds like the term-by-term sum.
         """
         n, d = self.qubits, 2**self.qubits
-        projectors = _projector_stack(self._vectors().reshape(-1, 3)).reshape(-1, n, 2, 2)
+        projectors = _projector_stack(self._vectors.reshape(-1, 3)).reshape(-1, n, 2, 2)
         probs = np.array([p for p, _, _ in self.terms])
         block = max(1, _MIXTURE_BLOCK_ENTRIES // (d * d))
         m = np.zeros((d, d), dtype=complex)
@@ -231,10 +233,6 @@ class ProductEnsemble:
             # row 0 carries the running total, so the sum over axis 0 adds in term order
             m = np.concatenate([m[None], probs[start:stop, None, None] * kron]).sum(axis=0)
         return DenseOperator(m, n, hermitian=True)
-
-    def _vectors(self) -> np.ndarray:
-        """The Bloch vectors as a (terms, qubits, 3) array."""
-        return np.array([vectors for _, vectors, _ in self.terms], dtype=float)
 
     def to_json(self) -> dict:
         return {
@@ -325,7 +323,7 @@ def ensemble_to_table(e: ProductEnsemble, frames: Sequence[Frame]) -> Coefficien
     frames = tuple(frames)
     if len(frames) != e.qubits:
         raise ValueError(f"expected {e.qubits} frames, got {len(frames)}")
-    vectors = e._vectors()
+    vectors = e._vectors
     idx = np.empty(vectors.shape[:2], dtype=int)
     off = np.empty(vectors.shape[:2], dtype=bool)
     for k, f in enumerate(frames):

@@ -16,7 +16,6 @@ from blochframes import (
     frame_check,
     frame_from_json,
     frame_to_json,
-    gram,
     pauli,
     polyhedron_vectors,
     reflect_octant,
@@ -48,17 +47,20 @@ def test_cardinal6_order_and_duals():
         assert np.allclose(q.matrix, (np.eye(2) + 3 * sig) / 6, atol=1e-12)
 
 
+def gram_eigenvalues(f):
+    """Ascending eigenvalues of the Gram superoperator sum_a |P_a)(P_a|."""
+    vecs = f.projector_stack.transpose(0, 2, 1).reshape(f.size, 4)
+    g = vecs.T @ vecs.conj()
+    return np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+
+
 def test_cardinal6_gram_spectrum():
-    f = cardinal6()
-    g = gram(list(f.projectors))
-    evs = np.sort(g.eigenvalues().real)
+    evs = gram_eigenvalues(cardinal6())
     assert np.allclose(evs, [1.0, 1.0, 1.0, 3.0], atol=1e-12)
 
 
 def test_tetrahedron_gram_spectrum():
-    f = build_frame("tetrahedron")
-    g = gram(list(f.projectors))
-    evs = np.sort(g.eigenvalues().real)
+    evs = gram_eigenvalues(build_frame("tetrahedron"))
     assert np.allclose(evs, [2 / 3, 2 / 3, 2 / 3, 2.0], atol=1e-12)
 
 
@@ -252,14 +254,6 @@ def test_projector_invariants():
             assert abs(np.trace(m).real - 1.0) < 1e-12
 
 
-def test_gram_apply_matches_sum(rng):
-    f = build_frame("cube")
-    g = gram(list(f.projectors))
-    a = random_hermitian(rng, 1)
-    direct = sum(p.matrix * trace_inner(p, a) for p in f.projectors)
-    assert np.abs(g.apply(a).matrix - direct).max() < 1e-12
-
-
 def test_named_frames_are_shared_and_read_only():
     cube = build_frame("cube")
     assert build_frame("cube") is cube
@@ -323,6 +317,15 @@ def test_stacks_match_operator_views(rng):
         # dual_pauli_matrix as it was computed from the per-dual operators
         per_dual = 0.5 * np.einsum("aij,bji->ab", np.array([q.matrix for q in f.duals]), sig).real
         assert np.array_equal(f.dual_pauli_matrix(), per_dual)
+
+
+def test_dual_pauli_matrix_is_computed_once(rng):
+    sig = sigma_stack()
+    for f in _every_frame_kind(rng):
+        m = f.dual_pauli_matrix()
+        assert f.dual_pauli_matrix() is m
+        assert not m.flags.writeable
+        assert np.array_equal(m, 0.5 * np.einsum("aij,bji->ab", f.dual_stack, sig).real)
 
 
 def test_operator_views_are_built_once():

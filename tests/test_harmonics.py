@@ -64,7 +64,12 @@ def test_sph_evaluation_matches_wcan(rng):
             for _k in range(n):
                 raw = rng.normal(size=3)
                 dirs.append(BlochVector.from_array(raw / np.linalg.norm(raw)))
-            assert abs(s.evaluate(dirs) - wcan_continuous(c, dirs)) < 1e-12
+            assert abs(wcan_continuous(s, dirs) - wcan_continuous(c, dirs)) < 1e-12
+        # both representations refuse a non-unit direction
+        dirs = [BlochVector(2.0, 0.0, 0.0)] + [BlochVector(0.0, 0.0, 1.0)] * (n - 1)
+        for rep in (s, c):
+            with pytest.raises(ValueError, match="unit Bloch vector"):
+                wcan_continuous(rep, dirs)
 
 
 def test_canonical_pauli_roundtrip(rng):
@@ -91,7 +96,7 @@ def test_add_hosh_changes_pointwise_values(rng):
     s = sph_coefficients(pauli_coefficients(rho))
     aug = add_hosh(s, {((2, 0),): 0.4})
     v = BlochVector.from_spherical(0.9, 0.7)
-    assert abs(aug.evaluate([v]) - s.evaluate([v])) > 1e-3
+    assert abs(wcan_continuous(aug, [v]) - wcan_continuous(s, [v])) > 1e-3
 
 
 def test_add_hosh_rejects_low_order_terms(rng):
@@ -171,7 +176,7 @@ def test_mirror_symmetry_of_hosh_terms(rng):
     for _ in range(20):
         theta = rng.uniform(0, math.pi)
         phi = rng.uniform(0, 2 * math.pi)
-        value = aug.evaluate([BlochVector.from_spherical(theta, phi)])
+        value = wcan_continuous(aug, [BlochVector.from_spherical(theta, phi)])
         assert isinstance(value, float)
 
 

@@ -6,13 +6,22 @@ import pytest
 from blochframes import (
     BlochVector,
     DenseOperator,
+    EnsembleTerm,
+    ProductEnsemble,
     bloch_projector,
+    continuous_dual,
+    dual_frame,
+    frame_check,
     hermitian_eigenvalues,
     pauli,
+    pauli_coefficients,
+    polyhedron_vectors,
+    reflect_octant,
     sigma_stack,
     tensor,
     trace_inner,
     validate_density,
+    wcan_continuous,
 )
 from conftest import random_density, random_hermitian
 
@@ -145,3 +154,27 @@ def test_nan_entries_fail_every_check():
         hermitian_eigenvalues(op)
     inf = DenseOperator(np.diag([math.inf, 0.25, 0.25, 0.25]), 2)
     assert validate_density(inf).reason == "non-finite entries"
+
+
+_NORTH = BlochVector(0.0, 0.0, 1.0)
+_UNIT_CHECK_SITES = {
+    "bloch_projector": bloch_projector,
+    "dual_frame": lambda v: dual_frame([v] + list(polyhedron_vectors("tetrahedron"))),
+    "frame_check": lambda v: frame_check([v] + list(polyhedron_vectors("octahedron"))),
+    "continuous_dual": continuous_dual,
+    "reflect_octant": reflect_octant,
+    "ProductEnsemble": lambda v: ProductEnsemble(2, (EnsembleTerm(1.0, (v, _NORTH)),)),
+    "wcan_continuous": lambda v: wcan_continuous(
+        pauli_coefficients(DenseOperator(np.eye(4) / 4, 2, hermitian=True)), [v, _NORTH]
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_UNIT_CHECK_SITES))
+@pytest.mark.parametrize(
+    "v", [BlochVector(math.nan, 0.5, 0.5), BlochVector(0.5, 1.0, 1.0)], ids=["nan", "norm1.5"]
+)
+def test_every_site_rejects_non_unit_vectors(site, v):
+    # every component is positive, so reflect_octant's octant check cannot fire first
+    with pytest.raises(ValueError, match="unit Bloch vector"):
+        _UNIT_CHECK_SITES[site](v)

@@ -353,6 +353,11 @@ def test_table_validation():
         CoefficientTable(frames, np.zeros((5,)))
     with pytest.raises(ValueError):
         CoefficientTable(frames, np.zeros((6, 6)))
+    for bad in (math.nan, math.inf):
+        weights = np.full(6, 1 / 6)
+        weights[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            CoefficientTable(frames, weights)
 
 
 def test_reconstruct_discrete_uniform_octahedron():

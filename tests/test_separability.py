@@ -70,6 +70,16 @@ def test_certify_rejects_wrong_state():
         certify(rho, table)
 
 
+def test_certify_rejects_nan_state():
+    m = np.eye(4) / 4
+    m[0, 0] = math.nan
+    rho = DenseOperator(m, 2)
+    table = ensemble_to_table(werner_ensemble(), [build_frame("cardinal6")] * 2)
+    for representation in (werner_ensemble(), table):
+        with pytest.raises(CertificateError):
+            certify(rho, representation)
+
+
 def test_witness_werner_values():
     for eps, value, verdict in (
         (0.5, 1.5, "nonseparable"),

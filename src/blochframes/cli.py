@@ -24,7 +24,7 @@ import numpy as np
 
 from .frames import Frame, build_frame, frame_from_json
 from .minimize import minimize_wcan, threshold_search
-from .operators import RECONSTRUCTION_TOL, SIGN_TOL
+from .operators import RECONSTRUCTION_TOL, SIGN_TOL, _deviation
 from .representations import PauliCoefficients, pauli_coefficients, wcan_discrete
 from .separability import ppt_min_eigenvalue, witness_ghz, witness_werner
 from .states import (
@@ -189,7 +189,7 @@ def cmd_verify_ensemble(args) -> int:
             f"ensemble acts on {ensemble.qubits} qubits, target on {target.qubits}"
         )
     mixed = ensemble.mixture()
-    deviation = float(np.max(np.abs(mixed.matrix - target.matrix)))
+    deviation = _deviation(mixed, target)
     tol = args.tol if args.tol is not None else RECONSTRUCTION_TOL
     passed = deviation <= tol
     _emit(

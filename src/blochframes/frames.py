@@ -3,11 +3,13 @@
 A frame is a finite family of single-qubit pure-state projectors
 P_a = (1 + sigma.n_a)/2 that spans the 4-dimensional operator space.
 The Gram superoperator G = sum_a |P_a)(P_a| is inverted to obtain duals
-Q_a = G^{-1}|P_a), which satisfy the resolutions of identity
+Q_a = G^{-1}|P_a).  In Pauli coordinates, with A the real (K, 4) matrix of
+rows (1, n_a) = tr(P_a sigma_b), G is (1/2) A^T A and Q_a = sum_b M[a, b] sigma_b
+with M = A (A^T A)^{-1}.  The duals satisfy the resolutions of identity
 
     sum_a |P_a)(Q_a| = sum_a |Q_a)(P_a| = identity superoperator,
 
-so any single-qubit operator A expands as A = sum_a P_a tr(Q_a A).
+so any single-qubit operator X expands as X = sum_a P_a tr(Q_a X).
 Vector sets whose centroid vanishes and whose second moments average to
 delta_jk/3 ("balanced" sets below) have duals in the closed form
 Q_a = (1/K)(1 + 3 sigma.n_a).
@@ -23,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import BlochVector, DenseOperator, _projector_stack, _require_unit, sigma_stack
+from .operators import BlochVector, DenseOperator, _pauli_matrices, _pauli_rows, _require_unit
 
 GRAM_RANK_CUTOFF = 1e-10
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -76,36 +78,47 @@ def frame_check(vectors: Sequence[BlochVector], tol: float = 1e-10) -> FrameChec
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """A spanning projector family with its dual operators.
+    """A spanning projector family and its duals, all computed from the vectors.
 
-    projector_stack and dual_stack are read-only (K, 2, 2) arrays holding the
-    projectors P_a and the duals Q_a; vectors[a], projector_stack[a] and
-    dual_stack[a] line up index by index.  For the cardinal6 kind the flat
-    index is 2*(j-1) + mu, i.e. the order +x, -x, +y, -y, +z, -z.
+    rows is A (see the module docstring); it and the (K, 2, 2) projector_stack
+    and dual_stack, built on first access, are read-only.  For the cardinal6
+    kind index a is 2*(j-1) + mu, i.e. the order +x, -x, +y, -y, +z, -z.
     """
 
     kind: str
     vectors: tuple[BlochVector, ...]
-    projector_stack: np.ndarray
-    dual_stack: np.ndarray
+    rows: np.ndarray = field(init=False, repr=False)
     _dual_pauli: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        shape = (len(self.vectors), 2, 2)
-        for name in ("projector_stack", "dual_stack"):
-            stack = np.array(getattr(self, name), dtype=complex, order="C")
-            if stack.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {stack.shape}")
-            stack.setflags(write=False)
-            object.__setattr__(self, name, stack)
-        # built once here, since every wcan_discrete call reads it
-        dual_pauli = 0.5 * np.einsum("aij,bji->ab", self.dual_stack, sigma_stack()).real
+        vectors = tuple(self.vectors)
+        rows = _pauli_rows(_require_unit(vectors))
+        gram = rows.T @ rows
+        lam = np.linalg.eigvalsh(gram)
+        # an empty family gives lam = cutoff = 0 and spans 0 dimensions
+        cutoff = GRAM_RANK_CUTOFF * float(lam[-1])
+        if float(lam[0]) <= cutoff:
+            rank = int(np.sum(lam > cutoff))
+            raise NonSpanningFrameError(f"projector family spans only {rank} of 4 operator dimensions")
+        # an LU solve leaves a smaller residual A^T M - I than an inverse built from eigh
+        dual_pauli = np.linalg.solve(gram, rows.T).T
+        rows.setflags(write=False)
         dual_pauli.setflags(write=False)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_dual_pauli", dual_pauli)
 
     @property
     def size(self) -> int:
         return len(self.vectors)
+
+    @functools.cached_property
+    def projector_stack(self) -> np.ndarray:
+        return _pauli_matrices(0.5 * self.rows)
+
+    @functools.cached_property
+    def dual_stack(self) -> np.ndarray:
+        return _pauli_matrices(self._dual_pauli)
 
     @functools.cached_property
     def projectors(self) -> tuple[DenseOperator, ...]:
@@ -118,52 +131,27 @@ class Frame:
         return tuple(DenseOperator(q, 1, hermitian=True) for q in self.dual_stack)
 
     def resolution_residual(self) -> float:
-        """Frobenius distance of sum_a |P_a)(Q_a| from the identity superoperator."""
-        vp = self.projector_stack.transpose(0, 2, 1).reshape(-1, 4)
-        vq = self.dual_stack.transpose(0, 2, 1).reshape(-1, 4)
-        return float(np.linalg.norm(vp.T @ vq.conj() - np.eye(4)))
+        """Frobenius distance of sum_a |P_a)(Q_a| (A^T M in Pauli coordinates) from the identity."""
+        return float(np.linalg.norm(self.rows.T @ self._dual_pauli - np.eye(4)))
 
     def dual_pauli_matrix(self) -> np.ndarray:
-        """Row a holds the expansion of Q_a over (1, sigma_1, sigma_2, sigma_3)/2 (read-only)."""
+        """The read-only (K, 4) matrix M with Q_a = sum_b M[a, b] sigma_b."""
         return self._dual_pauli
 
 
 def dual_frame(vectors: Sequence[BlochVector], kind: str = "custom") -> Frame:
-    """Build the frame for the given Bloch vectors by Gram inversion.
+    """Build the frame for the given Bloch vectors by inverting the Gram matrix (1/2) A^T A.
 
-    The Gram matrix is eigendecomposed and inverted; any eigenvalue below
-    1e-10 times the largest one means the projectors do not span and a
-    NonSpanningFrameError is raised instead of pseudo-inverting silently.
-    Duplicate vectors are allowed, they just split the weight.
+    An eigenvalue of A^T A below GRAM_RANK_CUTOFF times the largest one raises
+    NonSpanningFrameError.  Duplicate vectors are allowed, they split the weight.
     """
-    vectors = tuple(vectors)
-    if not vectors:
-        raise ValueError("a frame needs at least one vector")
-    arr = _require_unit(vectors)
-    projectors = _projector_stack(arr)
-    # rows are the column-stacked projectors
-    vecs = projectors.transpose(0, 2, 1).reshape(len(vectors), 4)
-    g = vecs.T @ vecs.conj()
-    lam, basis = np.linalg.eigh(0.5 * (g + g.conj().T))
-    cutoff = GRAM_RANK_CUTOFF * float(lam[-1])
-    if float(lam[0]) < cutoff:
-        rank = int(np.sum(lam >= cutoff))
-        raise NonSpanningFrameError(
-            f"projector family spans only {rank} of 4 operator dimensions"
-        )
-    ginv = (basis / lam) @ basis.conj().T
-    # one matrix-vector product per projector, which rounds like ginv @ vec(P_a)
-    duals = (ginv @ vecs[:, :, None]).reshape(-1, 2, 2).transpose(0, 2, 1)
-    duals = 0.5 * (duals + duals.conj().transpose(0, 2, 1))
-    return Frame(kind, vectors, projectors, duals)
+    return Frame(kind, tuple(vectors))
 
 
 def continuous_dual(n: BlochVector) -> DenseOperator:
     """Dual operator (1/4pi)(1 + 3 sigma.n) of the continuous projector frame."""
-    _require_unit(n)
-    sig = sigma_stack()
-    m = (sig[0] + 3.0 * (n.x * sig[1] + n.y * sig[2] + n.z * sig[3])) / (4.0 * math.pi)
-    return DenseOperator(m, 1, hermitian=True)
+    rows = _pauli_rows(_require_unit(n)) * (1.0, 3.0, 3.0, 3.0)
+    return DenseOperator(_pauli_matrices(rows)[0] / (4.0 * math.pi), 1, hermitian=True)
 
 
 def _unit(x: float, y: float, z: float) -> BlochVector:

@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import BlochVector
-from .representations import FOUR_PI, PauliCoefficients, _bloch_rows, _mode_contract
+from .operators import BlochVector, _pauli_rows
+from .representations import FOUR_PI, PauliCoefficients, _mode_contract
 
 # cap on the size of the scanned product grid; above it the per-sphere grid
 # is thinned (poles and equator survive thinning because they sit on every
@@ -76,7 +76,7 @@ class MinimizeResult(NamedTuple):
 def _slope(c: PauliCoefficients, vecs: np.ndarray, k: int) -> np.ndarray:
     """A positive multiple of b, where w = a + b . n_k while every other qubit
     stays at vecs; the weights (1/3, n_j) are those of node_values."""
-    mats = list(_bloch_rows(vecs)[:, None, :])
+    mats = list(_pauli_rows(vecs, 1.0 / 3.0)[:, None, :])
     mats[k] = _AXES
     return _mode_contract(c.coeffs, mats).reshape(3)
 
@@ -95,7 +95,7 @@ def _newton_move(coeffs: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, floa
     """
     n = len(vecs)
     mats = np.tile(np.eye(4), (n, 1, 1))
-    mats[:, 0] = _bloch_rows(vecs)
+    mats[:, 0] = _pauli_rows(vecs, 1.0 / 3.0)
     flat = _mode_contract(coeffs, mats).reshape(-1)
     # flat index of component a of qubit k, for the 3N rows (k, a)
     place = (4 ** np.arange(n - 1, -1, -1)[:, None] * np.arange(1, 4)).reshape(-1)

@@ -138,9 +138,25 @@ def bloch_projector(n: BlochVector) -> DenseOperator:
     return DenseOperator(_projector_stack(_require_unit(n))[0], 1, hermitian=True)
 
 
+def _pauli_rows(nodes: np.ndarray, first: float = 1.0) -> np.ndarray:
+    """Rows (first, n) for (K, 3) Bloch vectors n: the projectors' Pauli coordinates
+    tr(P(n) sigma_b) for first = 1, the weights of w on (1, sigma) for first = 1/3."""
+    rows = np.empty((len(nodes), 4))
+    rows[:, 0] = first
+    rows[:, 1:] = nodes
+    return rows
+
+
+def _pauli_matrices(rows: np.ndarray) -> np.ndarray:
+    """sum_b rows[:, b] sigma_b for a (K, 4) real array, as a read-only (K, 2, 2) array."""
+    out = np.einsum("kb,bij->kij", rows, _SIGMA)
+    out.setflags(write=False)
+    return out
+
+
 def _projector_stack(nodes: np.ndarray) -> np.ndarray:
     """Projectors (1 + sigma.n)/2 for (K, 3) Bloch vectors n, as a (K, 2, 2) array."""
-    return 0.5 * (_SIGMA[0] + (nodes @ _SIGMA[1:].reshape(3, 4)).reshape(-1, 2, 2))
+    return _pauli_matrices(0.5 * _pauli_rows(nodes))
 
 
 def tensor(factors: Sequence[DenseOperator]) -> DenseOperator:
@@ -160,6 +176,11 @@ def trace_inner(a: DenseOperator, b: DenseOperator) -> complex:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return complex(np.vdot(a.matrix, b.matrix))
+
+
+def _deviation(a: DenseOperator, b: DenseOperator) -> float:
+    """Frobenius norm of A - B, the deviation RECONSTRUCTION_TOL bounds."""
+    return float(np.linalg.norm(a.matrix - b.matrix))
 
 
 def hermitian_eigenvalues(a: DenseOperator, tol: float = DEFAULT_VALIDATION_TOL) -> np.ndarray:

@@ -7,8 +7,8 @@ The central object is the canonical expansion function
 evaluated lazily from the Pauli coefficient tensor c, since
 w = (3/4pi)^N sum_c c_{a1..aN} (n_1)_{a1} ... (n_N)_{aN} with the convention
 (n)_0 = 1/3.  Discrete tables over finite frames come from the same
-contraction with the duals' Pauli expansions, and reconstruction goes back
-through projector stacks or sphere quadrature.
+contraction with the duals' Pauli expansions, and reconstruction contracts
+back to a Pauli tensor with the projectors' Pauli rows.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .operators import (
     DEFAULT_VALIDATION_TOL,
     BlochVector,
     DenseOperator,
-    _projector_stack,
+    _pauli_rows,
     _require_unit,
     sigma_stack,
 )
@@ -48,32 +48,6 @@ def _mode_contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.nda
     for m in matrices:
         out = out.reshape(m.shape[1], -1).T @ m.T
     return out.reshape([m.shape[0] for m in matrices])
-
-
-def _bloch_rows(nodes: np.ndarray) -> np.ndarray:
-    """Rows (1/3, n) for (M, 3) unit vectors n: w's weights on (1, sigma)."""
-    nodes = np.asarray(nodes, dtype=float)
-    rows = np.empty((nodes.shape[0], 4))
-    rows[:, 0] = 1.0 / 3.0
-    rows[:, 1:] = nodes
-    return rows
-
-
-def _assemble_product(weights: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum weights[idx] * stack_1[i_1] x ... x stack_N[i_N] as a dense matrix."""
-    n = weights.ndim
-    # stack k as a (4, K_k) matrix of its flattened (i_k, j_k) entries
-    out = _mode_contract(weights, [s.reshape(len(s), 4).T for s in stacks])
-    # axes are now (i_1, j_1, ..., i_N, j_N); interleave into row/column blocks
-    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    d = 2**n
-    return out.reshape((2,) * (2 * n)).transpose(perm).reshape(d, d)
-
-
-def _assemble_hermitian(values: np.ndarray, stacks: Sequence[np.ndarray]) -> DenseOperator:
-    """Hermitian part of sum over product indices of values * stack_1 x ... x stack_N."""
-    m = _assemble_product(values, stacks)
-    return DenseOperator(0.5 * (m + m.conj().T), values.ndim, hermitian=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +79,7 @@ class PauliCoefficients:
         """
         if len(nodes_per_qubit) != self.qubits:
             raise ValueError("need one node array per qubit")
-        mats = [_bloch_rows(nodes) for nodes in nodes_per_qubit]
+        mats = [_pauli_rows(nodes, 1.0 / 3.0) for nodes in nodes_per_qubit]
         scale = (3.0 / FOUR_PI) ** self.qubits
         return scale * _mode_contract(self.coeffs, mats)
 
@@ -153,10 +127,15 @@ def pauli_coefficients(rho: DenseOperator, tol: float = DEFAULT_VALIDATION_TOL) 
 
 
 def pauli_to_operator(c: PauliCoefficients) -> DenseOperator:
-    """Inverse of pauli_coefficients: rho = 2^-N sum c sigma x ... x sigma."""
-    n = c.qubits
-    t = _assemble_product(c.coeffs, [sigma_stack()] * n)
-    return DenseOperator(t / 2**n, n, hermitian=True)
+    """Inverse of pauli_coefficients: rho = 2^-N sum c sigma x ... x sigma, symmetrised
+    so it is exactly Hermitian.  The one route from a Pauli tensor to a matrix."""
+    n, d = c.qubits, 2**c.qubits
+    # sigma_b as column b of a (4, 4) matrix of its flattened (i, j) entries
+    t = _mode_contract(c.coeffs, [sigma_stack().reshape(4, 4).T] * n)
+    # axes are now (i_1, j_1, ..., i_N, j_N); interleave into row/column blocks
+    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    m = t.reshape((2,) * (2 * n)).transpose(perm).reshape(d, d) / d
+    return DenseOperator(0.5 * (m + m.conj().T), n, hermitian=True)
 
 
 def wcan_continuous(rep: object, n_tuple: Sequence[BlochVector]) -> float:
@@ -248,8 +227,9 @@ def wcan_discrete(rho: DenseOperator, frames: Sequence[Frame]) -> CoefficientTab
 
 
 def reconstruct_discrete(table: CoefficientTable) -> DenseOperator:
-    """Rebuild sum_idx w(idx) P_idx1 x ... x P_idxN from a discrete table."""
-    return _assemble_hermitian(table.weights, [f.projector_stack for f in table.frames])
+    """Rebuild sum_idx w(idx) P_idx1 x ... x P_idxN from a discrete table via the frames' rows."""
+    c = _mode_contract(table.weights, [f.rows.T for f in table.frames])
+    return pauli_to_operator(PauliCoefficients(table.qubits, c))
 
 
 # --- sphere quadrature ------------------------------------------------------
@@ -292,10 +272,6 @@ class SphereQuadrature:
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def size(self) -> int:
-        return self.nodes.shape[0]
 
     def degree_residual(self, degree: int) -> float:
         """Worst monomial-moment error over all total degrees <= degree."""
@@ -356,6 +332,6 @@ def reconstruct_continuous(
                 f"quadrature for qubit {k} must integrate degree <= {degree} spherical "
                 f"polynomials exactly (residual {quad.degree_residual(degree):g})"
             )
-    nodes = [q.nodes for q in quads]
-    stacks = [_projector_stack(q.nodes) * q.weights[:, None, None] for q in quads]
-    return _assemble_hermitian(rep.node_values(nodes), stacks)
+    values = rep.node_values([q.nodes for q in quads])
+    c = _mode_contract(values, [(q.weights[:, None] * _pauli_rows(q.nodes)).T for q in quads])
+    return pauli_to_operator(PauliCoefficients(n, c))

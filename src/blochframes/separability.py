@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import RECONSTRUCTION_TOL, SIGN_TOL, DenseOperator, hermitian_eigenvalues
+from .operators import RECONSTRUCTION_TOL, SIGN_TOL, DenseOperator, _deviation, hermitian_eigenvalues
 from .representations import CoefficientTable, PauliCoefficients, reconstruct_discrete
 
 
@@ -57,7 +57,7 @@ def certify(
     else:
         table = representation
         recon = reconstruct_discrete(table)
-    err = float(np.linalg.norm(recon.matrix - rho.matrix))
+    err = _deviation(recon, rho)
     # written so that a NaN deviation fails too
     if not err <= recon_tol:
         raise CertificateError(

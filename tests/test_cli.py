@@ -177,6 +177,24 @@ def test_verify_ensemble_wrong_target(capsys):
     assert report["deviation"] > 1e-3
 
 
+def test_verify_ensemble_measures_deviation_like_certify(capsys):
+    from blochframes import CertificateError, certify, werner_ensemble
+
+    # max-abs deviation 9e-11 but Frobenius 1.8e-10, beyond RECONSTRUCTION_TOL
+    d = 9e-11
+    m = werner_ensemble().mixture().matrix + np.diag([d, -d, d, -d])
+    state = {"family": "custom_matrix", "matrix": [[[e.real, e.imag] for e in row] for row in m]}
+    with pytest.raises(CertificateError):
+        certify(build_state(StateSpec.from_json(state)), werner_ensemble())
+    code, out, err = run_cli(
+        capsys, ["verify-ensemble", "--name", "werner", "--state", json.dumps(state)]
+    )
+    assert code == 4
+    report = json.loads(out)
+    assert report["verdict"] == "mismatch"
+    assert abs(report["deviation"] - 2 * d) < 1e-15
+
+
 def test_verify_ensemble_from_file(capsys, tmp_path):
     from blochframes import werner_ensemble
 

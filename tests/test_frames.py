@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from blochframes import (
     BlochVector,
+    Frame,
     NonSpanningFrameError,
     bloch_projector,
     build_frame,
@@ -305,6 +306,12 @@ def _every_frame_kind(rng):
     return frames
 
 
+def _pauli_sum(m):
+    """sum_b m[:, b] sigma_b for a (K, 4) array, term by term."""
+    sig = sigma_stack()
+    return sum(m[:, b, None, None] * sig[b] for b in range(4))
+
+
 def test_stacks_match_operator_views(rng):
     sig = sigma_stack()
     for f in _every_frame_kind(rng):
@@ -314,18 +321,59 @@ def test_stacks_match_operator_views(rng):
         # the projectors as bloch_projector builds them one by one
         one_by_one = np.array([bloch_projector(v).matrix for v in f.vectors])
         assert np.array_equal(f.projector_stack, one_by_one)
-        # dual_pauli_matrix as it was computed from the per-dual operators
+        # the duals are built from dual_pauli_matrix, and give it back via the trace
+        assert np.array_equal(f.dual_stack, _pauli_sum(f.dual_pauli_matrix()))
         per_dual = 0.5 * np.einsum("aij,bji->ab", np.array([q.matrix for q in f.duals]), sig).real
-        assert np.array_equal(f.dual_pauli_matrix(), per_dual)
+        assert np.abs(f.dual_pauli_matrix() - per_dual).max() <= 1e-14
 
 
 def test_dual_pauli_matrix_is_computed_once(rng):
-    sig = sigma_stack()
     for f in _every_frame_kind(rng):
         m = f.dual_pauli_matrix()
         assert f.dual_pauli_matrix() is m
         assert not m.flags.writeable
-        assert np.array_equal(m, 0.5 * np.einsum("aij,bji->ab", f.dual_stack, sig).real)
+        assert f.dual_stack is f.dual_stack
+        assert np.array_equal(f.dual_stack, _pauli_sum(m))
+
+
+def test_balanced_named_frames_have_closed_form_duals():
+    # (1/K)(1, 3 n_a): exact on the axis vectors, within rounding elsewhere
+    for kind in ("cardinal6", "octahedron", "tetrahedron", "cube", "icosahedron", "dodecahedron"):
+        f = build_frame(kind)
+        closed = np.hstack([np.ones((f.size, 1)), 3.0 * np.array(f.vectors)]) / f.size
+        if kind in ("cardinal6", "octahedron"):
+            assert np.array_equal(f.dual_pauli_matrix(), closed), kind
+        else:
+            assert np.abs(f.dual_pauli_matrix() - closed).max() <= 1e-15, kind
+
+
+def superoperator_residual(f):
+    """|sum_a |P_a)(Q_a| - 1|_F on column-stacked 2x2 matrices."""
+    vp = f.projector_stack.transpose(0, 2, 1).reshape(f.size, 4)
+    vq = f.dual_stack.transpose(0, 2, 1).reshape(f.size, 4)
+    return float(np.linalg.norm(vp.T @ vq.conj() - np.eye(4)))
+
+
+def test_resolution_residual_matches_superoperator_form(rng):
+    for f in _every_frame_kind(rng):
+        assert abs(f.resolution_residual() - superoperator_residual(f)) <= 1e-14, f.kind
+    # a frame whose duals are off by 1%, so that the residual is far from zero
+    f = dual_frame(polyhedron_vectors("icosahedron"))
+    object.__setattr__(f, "_dual_pauli", 1.01 * f.dual_pauli_matrix())
+    assert abs(f.resolution_residual() / superoperator_residual(f) - 1.0) <= 1e-12
+
+
+def test_frame_is_built_from_its_vectors():
+    vs = polyhedron_vectors("cube")
+    f = Frame("custom", list(vs))
+    assert f.vectors == vs
+    assert np.array_equal(f.rows, np.hstack([np.ones((8, 1)), np.array(vs)]))
+    assert not f.rows.flags.writeable
+    assert np.array_equal(f.dual_pauli_matrix(), dual_frame(vs).dual_pauli_matrix())
+    with pytest.raises(TypeError):
+        Frame("custom", vs, f.projector_stack, f.dual_stack)
+    with pytest.raises(NonSpanningFrameError, match="spans only 0 of 4"):
+        Frame("custom", ())
 
 
 def test_operator_views_are_built_once():

@@ -272,6 +272,39 @@ def test_continuous_reconstruction_quadratures(rng):
             assert np.abs(back.matrix - rho.matrix).max() < 1e-12
 
 
+def projector_stack_sum(values, stacks):
+    """sum over product indices of values * stack_1[i_1] x ... x stack_N[i_N], term by term."""
+    out = 0.0
+    for idx in np.ndindex(*values.shape):
+        term = np.ones((1, 1))
+        for stack, i in zip(stacks, idx):
+            term = np.kron(term, stack[i])
+        out = out + values[idx] * term
+    return out
+
+
+def test_reconstructions_match_projector_stack_assembly(rng):
+    custom = build_frame("custom", [random_direction(rng) for _ in range(5)])
+    for n in (1, 2, 3):
+        rho = random_density(rng, n)
+        frames = [build_frame(k) for k in ("cardinal6", "dodecahedron")[: n - 1]] + [custom]
+        table = wcan_discrete(rho, frames)
+        expected = projector_stack_sum(table.weights, [f.projector_stack for f in frames])
+        back = reconstruct_discrete(table).matrix
+        assert np.abs(back - expected).max() <= 1e-14
+        # pauli_to_operator symmetrises, so the result is exactly Hermitian
+        assert np.array_equal(back, back.conj().T)
+        c = pauli_coefficients(rho)
+        quads = [sphere_quadrature(k) for k in ("icosahedron", "octahedron", "icosahedron")[:n]]
+        stacks = [
+            np.array([bloch_projector(BlochVector.from_array(v)).matrix for v in q.nodes])
+            * q.weights[:, None, None]
+            for q in quads
+        ]
+        expected = projector_stack_sum(c.node_values([q.nodes for q in quads]), stacks)
+        assert np.abs(reconstruct_continuous(c, quads).matrix - expected).max() <= 1e-14
+
+
 def test_quadrature_normalization(rng):
     # integral of w over the product of spheres is 1 for unit-trace rho
     rho = random_density(rng, 2)

@@ -8,8 +8,8 @@ Subcommands:
   witness          evaluate a correlation witness on a state
   ppt              smallest eigenvalue of the partial transpose (2 qubits)
 
-Exit codes: 0 success, 2 usage or unreadable input, 3 domain error,
-4 verification failure.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 usage or unreadable
+input, 3 domain error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from .states import (
 )
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
@@ -343,7 +345,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try, so a reader that left is seen here
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at exit stays quiet (Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

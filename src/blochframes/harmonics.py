@@ -6,11 +6,16 @@ term with some l >= 2 (a HOSH term, higher-order spherical harmonic) can be
 added freely: it changes the expansion function but integrates to zero
 against every projector, so the represented operator stays put.
 
+The l <= 1 block is stored as the Pauli tensor, so PauliCoefficients.node_values
+evaluates it and its harmonic coefficients are derived on request; only the
+HOSH terms go through sph_y and scipy.special.
+
 Phase convention is Condon-Shortley, e.g. Y_1^{+1} = -sqrt(3/8pi) sin(theta) e^{i phi}.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -21,7 +26,6 @@ from .representations import FOUR_PI, PauliCoefficients, _mode_contract
 
 # column order of the canonical (l <= 1) block
 CANONICAL_LM = ((0, 0), (1, -1), (1, 0), (1, 1))
-_CANONICAL_L, _CANONICAL_M = np.array(CANONICAL_LM).T
 
 HoshKey = tuple[tuple[int, int], ...]
 HoshTerm = tuple[HoshKey, complex]
@@ -38,7 +42,6 @@ _PAULI_TO_SPH = np.array(
     ],
     dtype=complex,
 )
-_SPH_TO_PAULI = np.linalg.inv(_PAULI_TO_SPH)
 
 
 def sph_y(l, m, theta, phi) -> np.ndarray:
@@ -58,32 +61,35 @@ def sph_y(l, m, theta, phi) -> np.ndarray:
 
 def _node_angles(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nodes = np.asarray(nodes, dtype=float)
-    theta = np.arccos(np.clip(nodes[:, 2], -1.0, 1.0))
-    phi = np.arctan2(nodes[:, 1], nodes[:, 0])
-    return theta, phi
+    return np.arccos(np.clip(nodes[:, 2], -1.0, 1.0)), np.arctan2(nodes[:, 1], nodes[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
 class SphCoefficients:
     """Spherical-harmonic coefficients of one expansion function.
 
-    canonical holds the dense l <= 1 block with per-qubit column order
-    (0,0), (1,-1), (1,0), (1,+1).  hosh is a sparse list of extra terms
-    keyed by ((l_1, m_1), ..., (l_N, m_N)); every stored term has some
-    l_k >= 2.
+    pauli is the canonical (l <= 1) part as a Pauli tensor.  hosh is a sparse
+    list of extra terms keyed by ((l_1, m_1), ..., (l_N, m_N)); every stored
+    term has some l_k >= 2.
     """
 
-    qubits: int
-    canonical: np.ndarray
+    pauli: PauliCoefficients
     hosh: tuple[HoshTerm, ...] = ()
 
     def __post_init__(self) -> None:
-        c = np.array(self.canonical, dtype=complex)
-        if c.shape != (4,) * self.qubits:
-            raise ValueError(f"canonical block must have shape {(4,) * self.qubits}")
-        c.setflags(write=False)
-        object.__setattr__(self, "canonical", c)
         object.__setattr__(self, "hosh", tuple((tuple(k), complex(v)) for k, v in self.hosh))
+
+    @property
+    def qubits(self) -> int:
+        return self.pauli.qubits
+
+    @functools.cached_property
+    def canonical(self) -> np.ndarray:
+        """The dense l <= 1 block, read-only, with per-qubit column order CANONICAL_LM."""
+        mats = [np.ascontiguousarray(_PAULI_TO_SPH.T)] * self.qubits
+        block = _mode_contract(self.pauli.coeffs.astype(complex), mats)
+        block.setflags(write=False)
+        return block
 
     @property
     def quadrature_degrees(self) -> tuple[int, ...]:
@@ -96,42 +102,30 @@ class SphCoefficients:
 
     def node_values(self, nodes_per_qubit: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate the expansion function on a product grid of sphere points."""
-        if len(nodes_per_qubit) != self.qubits:
-            raise ValueError("need one node array per qubit")
+        total = self.pauli.node_values(nodes_per_qubit)
         angles = [_node_angles(nodes) for nodes in nodes_per_qubit]
-        mats = [
-            sph_y(_CANONICAL_L, _CANONICAL_M, theta[:, None], phi[:, None])
-            for theta, phi in angles
-        ]
-        total = _mode_contract(self.canonical, mats)
+        extra = np.zeros(total.shape, dtype=complex)
         for key, coeff in self.hosh:
             term = np.array(coeff)
             for (l, mm), (theta, phi) in zip(key, angles):
                 term = np.multiply.outer(term, sph_y(l, mm, theta, phi))
-            total = total + term
-        imag = float(np.max(np.abs(total.imag)))
+            extra += term
+        imag = float(np.max(np.abs(extra.imag), initial=0.0))
         if imag > 1e-9:
             raise ValueError(f"expansion function is not real (imaginary residual {imag:g})")
-        return total.real
+        return total + extra.real
 
 
 def sph_coefficients(c: PauliCoefficients) -> SphCoefficients:
     """The unique l <= 1 spherical-harmonic coefficients of the canonical
-    expansion function of c."""
-    mats = [np.ascontiguousarray(_PAULI_TO_SPH.T)] * c.qubits
-    block = _mode_contract(c.coeffs.astype(complex), mats)
-    return SphCoefficients(c.qubits, block)
+    expansion function of c, with no HOSH terms."""
+    return SphCoefficients(c)
 
 
 def canonical_pauli(s: SphCoefficients) -> PauliCoefficients:
-    """Back out the Pauli tensor from the l <= 1 block (HOSH terms carry no
-    operator content and are ignored)."""
-    mats = [np.ascontiguousarray(_SPH_TO_PAULI.T)] * s.qubits
-    c = _mode_contract(s.canonical, mats)
-    imag = float(np.max(np.abs(c.imag)))
-    if imag > 1e-10:
-        raise ValueError(f"canonical block does not describe a Hermitian operator (residual {imag:g})")
-    return PauliCoefficients(s.qubits, c.real)
+    """The Pauli tensor of the l <= 1 block (HOSH terms carry no operator
+    content and are ignored)."""
+    return s.pauli
 
 
 def _mirror(key: HoshKey) -> HoshKey:
@@ -176,4 +170,4 @@ def add_hosh(
                 f"needs {expected}"
             )
     terms = tuple((k, v) for k, v in merged.items() if v != 0)
-    return SphCoefficients(base.qubits, base.canonical, terms)
+    return SphCoefficients(base.pauli, terms)

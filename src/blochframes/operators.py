@@ -135,7 +135,7 @@ def pauli(index: int) -> DenseOperator:
 
 def bloch_projector(n: BlochVector) -> DenseOperator:
     """Rank-1 projector (1 + n.sigma)/2 onto the pure state along n."""
-    return DenseOperator(_projector_stack(_require_unit(n))[0], 1, hermitian=True)
+    return DenseOperator(_pauli_matrices(0.5 * _pauli_rows(_require_unit(n)))[0], 1, hermitian=True)
 
 
 def _pauli_rows(nodes: np.ndarray, first: float = 1.0) -> np.ndarray:
@@ -152,11 +152,6 @@ def _pauli_matrices(rows: np.ndarray) -> np.ndarray:
     out = np.einsum("kb,bij->kij", rows, _SIGMA)
     out.setflags(write=False)
     return out
-
-
-def _projector_stack(nodes: np.ndarray) -> np.ndarray:
-    """Projectors (1 + sigma.n)/2 for (K, 3) Bloch vectors n, as a (K, 2, 2) array."""
-    return _pauli_matrices(0.5 * _pauli_rows(nodes))
 
 
 def tensor(factors: Sequence[DenseOperator]) -> DenseOperator:

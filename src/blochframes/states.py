@@ -15,13 +15,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import BlochVector, DenseOperator, _projector_stack, _require_unit, validate_density
+from .operators import BlochVector, DenseOperator, _pauli_rows, _require_unit, validate_density
 from .frames import Frame
-from .representations import CoefficientTable
+from .representations import CoefficientTable, PauliCoefficients, pauli_to_operator
 
 FAMILIES = ("maximally_mixed", "cat", "eps_cat", "werner", "eps_ghz", "custom_matrix")
-# complex entries per block of Kronecker products in ProductEnsemble.mixture
-_MIXTURE_BLOCK_ENTRIES = 1 << 20
 
 _PLUS = {
     1: BlochVector(1.0, 0.0, 0.0),
@@ -212,27 +210,22 @@ class ProductEnsemble:
         object.__setattr__(self, "_vectors", vectors.reshape(len(terms), self.qubits, 3))
 
     def mixture(self) -> DenseOperator:
-        """sum_t p_t P(n_t1) x ... x P(n_tN), built for blocks of terms at once.
+        """sum_t p_t P(n_t1) x ... x P(n_tN), through its Pauli tensor.
 
-        The Kronecker factors are multiplied in qubit order, each product is
-        scaled by its probability, and the terms are added in order to a
-        running total, so the result rounds like the term-by-term sum.
+        P(n) = 2^-1 (1, n).sigma, so the mixture's Pauli tensor is
+        sum_t p_t (1, n_t1) x ... x (1, n_tN).  With L the (T, 4^floor(N/2))
+        row products over the first floor(N/2) qubits and R the
+        (T, 4^ceil(N/2)) ones over the rest, that tensor is (p L)^T R.  L and
+        R hold no more reals than the output matrix while T <= 4^floor(N/2).
         """
-        n, d = self.qubits, 2**self.qubits
-        projectors = _projector_stack(self._vectors.reshape(-1, 3)).reshape(-1, n, 2, 2)
-        probs = np.array([p for p, _, _ in self.terms])
-        block = max(1, _MIXTURE_BLOCK_ENTRIES // (d * d))
-        m = np.zeros((d, d), dtype=complex)
-        for start in range(0, len(probs), block):
-            stop = start + block
-            kron = projectors[start:stop, 0]
-            for k in range(1, n):
-                f, dim = projectors[start:stop, k], 2 * kron.shape[1]
-                # np.kron per term: entry (2i + r, 2j + s) is kron[i, j] * f[r, s]
-                kron = (kron[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, dim, dim)
-            # row 0 carries the running total, so the sum over axis 0 adds in term order
-            m = np.concatenate([m[None], probs[start:stop, None, None] * kron]).sum(axis=0)
-        return DenseOperator(m, n, hermitian=True)
+        n, t = self.qubits, len(self.terms)
+        rows = _pauli_rows(self._vectors.reshape(-1, 3)).reshape(t, n, 4)
+        lr = [np.array([[p] for p, _, _ in self.terms]), np.ones((t, 1))]  # p L and R
+        for k in range(n):  # first qubit most significant
+            side = int(k >= n // 2)
+            lr[side] = (lr[side][:, :, None] * rows[:, k, None, :]).reshape(t, -1)
+        c = lr[0].T @ lr[1]
+        return pauli_to_operator(PauliCoefficients(n, c.reshape((4,) * n)))
 
     def to_json(self) -> dict:
         return {

@@ -377,6 +377,22 @@ def test_module_entry_point():
     assert proc.stdout.splitlines()[1].startswith("2,")
 
 
+def test_closed_stdout_exits_quietly():
+    # 46,656 rows overflow the 64 KiB pipe buffer, so writing after the close must fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blochframes", "coeffs", "--state",
+         '{"family": "eps_cat", "n": 6, "epsilon": 0.2}'],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"# discrete expansion table")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_parser_reused_after_usage_error_and_help(capsys):
     from blochframes.cli import _parser, build_parser
 

@@ -80,6 +80,12 @@ def test_canonical_pauli_roundtrip(rng):
         assert np.abs(back.coeffs - c.coeffs).max() < 1e-12
 
 
+def test_canonical_pauli_roundtrip_is_exact(rng):
+    for n in (1, 2, 3):
+        c = pauli_coefficients(random_density(rng, n))
+        assert np.array_equal(canonical_pauli(sph_coefficients(c)).coeffs, c.coeffs)
+
+
 def test_add_hosh_preserves_operator(rng):
     rho = random_density(rng, 1)
     s = sph_coefficients(pauli_coefficients(rho))
@@ -190,6 +196,22 @@ def test_package_import_leaves_scipy_special_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_hosh_free_round_trip_leaves_scipy_special_unloaded():
+    script = (
+        "import sys, numpy as np\n"
+        "import blochframes as bf\n"
+        "rho = bf.build_state(bf.StateSpec('werner', epsilon=0.3))\n"
+        "s = bf.sph_coefficients(bf.pauli_coefficients(rho))\n"
+        "back = bf.reconstruct_continuous(s, bf.sphere_quadrature('octahedron'))\n"
+        "assert np.abs(back.matrix - rho.matrix).max() < 1e-12\n"
+        "bf.wcan_continuous(s, [bf.BlochVector(0.0, 0.0, 1.0)] * 2)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def _node_values_column_loop(s, nodes_per_qubit):
     """SphCoefficients.node_values, its canonical matrix filled one sph_y column at a time."""
     from blochframes.representations import _mode_contract
@@ -215,7 +237,8 @@ def _node_values_column_loop(s, nodes_per_qubit):
 
 def test_node_values_match_column_loop(rng):
     for n in (1, 2, 3):
-        s = sph_coefficients(pauli_coefficients(random_density(rng, n)))
+        c = pauli_coefficients(random_density(rng, n))
+        s = sph_coefficients(c)
         key = ((3, 2),) + ((1, 0),) * (n - 1)
         mirror = tuple((l, -m) for l, m in key)
         # the m values of key sum to 2, so the mirror coefficient is the plain conjugate
@@ -225,7 +248,9 @@ def test_node_values_match_column_loop(rng):
             nodes = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in nodes]
             for coeffs in (s, aug):
                 expected = _node_values_column_loop(coeffs, nodes)
-                assert np.array_equal(coeffs.node_values(nodes), expected)
+                assert np.abs(coeffs.node_values(nodes) - expected).max() <= 1e-15
+            # without HOSH terms the Pauli tensor is the one evaluator
+            assert np.array_equal(s.node_values(nodes), c.node_values(nodes))
 
 
 def test_sph_y_broadcasts_and_checks_every_m():

@@ -269,17 +269,10 @@ def _test_ensembles(rng):
 
 
 def test_mixture_matches_term_loop(rng):
-    for e in _test_ensembles(rng):
-        assert np.array_equal(e.mixture().matrix, _mixture_term_loop(e))
-
-
-def test_mixture_in_small_blocks_matches_term_loop(rng, monkeypatch):
-    import blochframes.states as states
-
-    # 64 entries per block: a few terms per block at N <= 2, one term per block beyond
-    monkeypatch.setattr(states, "_MIXTURE_BLOCK_ENTRIES", 64)
-    for e in _test_ensembles(rng):
-        assert np.array_equal(e.mixture().matrix, _mixture_term_loop(e))
+    for e in _test_ensembles(rng) + [_random_ensemble(rng, n, 39) for n in (5, 6)]:
+        m = e.mixture().matrix
+        assert np.abs(m - _mixture_term_loop(e)).max() <= 1e-15
+        assert np.array_equal(m, m.conj().T)
 
 
 def _table_term_loop(e, frames):

@@ -8,13 +8,15 @@ Subcommands:
   witness          evaluate a correlation witness on a state
   ppt              smallest eigenvalue of the partial transpose (2 qubits)
 
-Exit codes: 0 success, 1 stdout closed by its reader, 2 usage or unreadable
-input, 3 domain error, 4 verification failure.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 usage error or an
+argument that does not read as its object (--state, --frames, --file,
+--coeffs), 3 domain error, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -36,7 +38,6 @@ from .states import (
     bound_general,
     build_state,
     ghz_ensemble,
-    pure_target,
     werner_ensemble,
 )
 
@@ -48,42 +49,32 @@ EXIT_VERIFY = 4
 
 
 class _InputError(Exception):
-    """Unreadable or malformed input file/JSON; maps to the usage exit code."""
+    """Unreadable or malformed input, or a usage error; maps to the usage exit code."""
 
 
-def _load_json_arg(text: str):
-    """Accept either inline JSON or a path to a JSON file."""
+def _read(flag: str, text: str, build):
+    """build(data) for the JSON of flag, given inline or as a file path; any
+    failure to read or build it is an input error that names flag."""
     s = text.strip()
-    if s.startswith(("{", "[", '"')):
-        try:
-            return json.loads(s)
-        except json.JSONDecodeError as exc:
-            raise _InputError(f"invalid JSON argument: {exc}") from exc
-    path = Path(text)
     try:
-        return json.loads(path.read_text())
-    except OSError as exc:
-        raise _InputError(f"cannot read {text}: {exc}") from exc
+        return build(json.loads(s if s.startswith(("{", "[", '"')) else Path(text).read_text()))
     except json.JSONDecodeError as exc:
-        raise _InputError(f"{text} is not valid JSON: {exc}") from exc
-
-
-def _state_from_arg(text: str) -> StateSpec:
-    data = _load_json_arg(text)
-    try:
-        return StateSpec.from_json(data)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+        raise _InputError(f"{flag} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise _InputError(f"{flag}: {exc}") from exc
+    except (KeyError, TypeError, IndexError) as exc:
+        raise _InputError(f"{flag}: malformed value ({type(exc).__name__}: {exc})") from exc
 
 
 def _frames_from_arg(text: str | None, qubits: int) -> list[Frame]:
     """One frame per qubit; a single frame spec is broadcast to all qubits."""
     if text is None:
         return [build_frame("cardinal6") for _ in range(qubits)]
-    data = _load_json_arg(text)
-    if isinstance(data, (str, dict)):
-        data = [data]
-    frames = [frame_from_json(obj) for obj in data]
+    frames = _read(
+        "--frames",
+        text,
+        lambda data: [frame_from_json(obj) for obj in (data if isinstance(data, list) else [data])],
+    )
     if len(frames) == 1:
         frames = frames * qubits
     if len(frames) != qubits:
@@ -136,8 +127,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    spec = _state_from_arg(args.state)
-    rho = build_state(spec)
+    rho = build_state(_read("--state", args.state, StateSpec.from_json))
     frames = _frames_from_arg(args.frames, rho.qubits)
     table = wcan_discrete(rho, frames)
     out_path = Path(args.out) if args.out else None
@@ -161,29 +151,23 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-def _named_ensemble(name: str) -> tuple[ProductEnsemble, StateSpec]:
-    if name == "werner":
-        return werner_ensemble(), StateSpec("werner", epsilon=1 / 3)
-    if name == "ghz":
-        return ghz_ensemble(), StateSpec("eps_ghz", epsilon=1 / 5)
-    raise _InputError(f"unknown ensemble name {name!r}; options: werner, ghz")
+# verify-ensemble --name -> (ensemble factory, default target state)
+_NAMED_ENSEMBLES = {
+    "werner": (werner_ensemble, StateSpec("werner", epsilon=1 / 3)),
+    "ghz": (ghz_ensemble, StateSpec("eps_ghz", epsilon=1 / 5)),
+}
 
 
 def cmd_verify_ensemble(args) -> int:
     if args.name:
-        ensemble, default_spec = _named_ensemble(args.name)
+        factory, spec = _NAMED_ENSEMBLES[args.name]
+        ensemble = factory()
     else:
-        data = _load_json_arg(args.file)
-        try:
-            ensemble = ProductEnsemble.from_json(data)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
-        default_spec = None
+        ensemble = _read("--file", args.file, ProductEnsemble.from_json)
+        spec = None
     if args.state:
-        spec = _state_from_arg(args.state)
-    elif default_spec is not None:
-        spec = default_spec
-    else:
+        spec = _read("--state", args.state, StateSpec.from_json)
+    elif spec is None:
         raise _InputError("--state is required for ensembles loaded from a file")
     target = build_state(spec)
     if target.qubits != ensemble.qubits:
@@ -208,7 +192,7 @@ def cmd_verify_ensemble(args) -> int:
 
 
 def cmd_min_wcan(args) -> int:
-    spec = _state_from_arg(args.state)
+    spec = _read("--state", args.state, StateSpec.from_json)
     rho = build_state(spec)
     c = pauli_coefficients(rho)
     result = minimize_wcan(c, grid_per_sphere=args.grid, refine_iters=args.refine)
@@ -226,8 +210,10 @@ def cmd_min_wcan(args) -> int:
         "refine": args.refine,
     }
     if args.threshold_search:
-        target = pure_target(spec.family, rho.qubits)
-        pure = c if target is None else pauli_coefficients(target)
+        # the family at eps = 1; families that fix eps, and custom matrices, ignore it
+        pure = c
+        if spec.epsilon is not None:
+            pure = pauli_coefficients(build_state(dataclasses.replace(spec, epsilon=1.0)))
         payload["threshold"] = threshold_search(
             pure, grid_per_sphere=args.grid, refine_iters=args.refine
         )
@@ -237,14 +223,10 @@ def cmd_min_wcan(args) -> int:
 
 def _coeffs_for_witness(args) -> PauliCoefficients:
     if args.coeffs:
-        data = _load_json_arg(args.coeffs)
-        try:
-            return PauliCoefficients.from_dict(data)
-        except (KeyError, ValueError) as exc:
-            raise _InputError(f"malformed coefficient JSON: {exc}") from exc
+        return _read("--coeffs", args.coeffs, PauliCoefficients.from_dict)
     if not args.state:
         raise _InputError("witness needs --state or --coeffs")
-    rho = build_state(_state_from_arg(args.state))
+    rho = build_state(_read("--state", args.state, StateSpec.from_json))
     return pauli_coefficients(rho)
 
 
@@ -259,7 +241,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_ppt(args) -> int:
-    rho = build_state(_state_from_arg(args.state))
+    rho = build_state(_read("--state", args.state, StateSpec.from_json))
     value = ppt_min_eigenvalue(rho, transposed_side=args.side)
     tol = args.tol if args.tol is not None else SIGN_TOL
     _emit(
@@ -299,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-ensemble", help="check a product ensemble against its target")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--name", choices=("werner", "ghz"))
+    g.add_argument("--name", choices=tuple(_NAMED_ENSEMBLES))
     g.add_argument("--file", help="ensemble JSON file")
     p.add_argument("--state", default=None, help="target state JSON; defaults per named ensemble")
     p.set_defaults(func=cmd_verify_ensemble)

@@ -69,15 +69,38 @@ class SphCoefficients:
     """Spherical-harmonic coefficients of one expansion function.
 
     pauli is the canonical (l <= 1) part as a Pauli tensor.  hosh is a sparse
-    list of extra terms keyed by ((l_1, m_1), ..., (l_N, m_N)); every stored
-    term has some l_k >= 2.
+    list of extra terms keyed by ((l_1, m_1), ..., (l_N, m_N)).  Every term
+    must contain at least one factor with l >= 2 (an all-l<=1 term would alter
+    the represented operator and is rejected), and the merged terms must come
+    in conjugate m-mirror pairs so the expansion function stays real:
+    coeff(l, -m) = (-1)^(sum m) conj(coeff(l, m)).  Equal keys are merged and
+    zero terms dropped.
     """
 
     pauli: PauliCoefficients
     hosh: tuple[HoshTerm, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hosh", tuple((tuple(k), complex(v)) for k, v in self.hosh))
+        merged: dict[HoshKey, complex] = {}
+        for key, coeff in self.hosh:
+            key = tuple((int(l), int(m)) for l, m in key)
+            if len(key) != self.qubits:
+                raise ValueError(f"term {key} does not address {self.qubits} qubits")
+            for l, m in key:
+                if l < 0 or abs(m) > l:
+                    raise ValueError(f"invalid harmonic index (l={l}, m={m})")
+            if max(l for l, _m in key) < 2:
+                raise ValueError(f"term {key} has all l <= 1 and would change the operator")
+            merged[key] = merged.get(key, 0j) + complex(coeff)
+        for key, coeff in merged.items():
+            partner = merged.get(_mirror(key), 0j)
+            expected = _mirror_parity(key) * np.conj(coeff)
+            if abs(partner - expected) > 1e-12 * max(1.0, abs(coeff)):
+                raise ValueError(
+                    f"term {key} breaks the reality pairing: mirror coefficient is {partner}, "
+                    f"needs {expected}"
+                )
+        object.__setattr__(self, "hosh", tuple((k, v) for k, v in merged.items() if v != 0))
 
     @property
     def qubits(self) -> int:
@@ -142,32 +165,7 @@ def add_hosh(
     """Add higher-order terms to an expansion function without changing rho.
 
     `extra` maps keys ((l, m) per qubit) to coefficients, or lists such
-    pairs.  Every term must contain at least one factor with l >= 2 (an
-    all-l<=1 term would alter the represented operator and is rejected), and
-    the term set must come in conjugate m-mirror pairs so the expansion
-    function stays real: coeff(l, -m) = (-1)^(sum m) conj(coeff(l, m)).
+    pairs; the terms must meet SphCoefficients' checks together with base's.
     """
-    merged: dict[HoshKey, complex] = {}
-    for key, coeff in base.hosh:
-        merged[key] = merged.get(key, 0j) + coeff
     items = extra.items() if isinstance(extra, Mapping) else extra
-    for key, coeff in items:
-        key = tuple((int(l), int(m)) for l, m in key)
-        if len(key) != base.qubits:
-            raise ValueError(f"term {key} does not address {base.qubits} qubits")
-        for l, m in key:
-            if l < 0 or abs(m) > l:
-                raise ValueError(f"invalid harmonic index (l={l}, m={m})")
-        if max(l for l, _m in key) < 2:
-            raise ValueError(f"term {key} has all l <= 1 and would change the operator")
-        merged[key] = merged.get(key, 0j) + complex(coeff)
-    for key, coeff in merged.items():
-        partner = merged.get(_mirror(key), 0j)
-        expected = _mirror_parity(key) * np.conj(coeff)
-        if abs(partner - expected) > 1e-12 * max(1.0, abs(coeff)):
-            raise ValueError(
-                f"term {key} breaks the reality pairing: mirror coefficient is {partner}, "
-                f"needs {expected}"
-            )
-    terms = tuple((k, v) for k, v in merged.items() if v != 0)
-    return SphCoefficients(base.pauli, terms)
+    return SphCoefficients(base.pauli, (*base.hosh, *items))

@@ -1,9 +1,10 @@
 """The state families under study, their explicit product ensembles, and the
 closed-form separability bounds.
 
-The eps-families are mixtures rho_eps = (1 - eps)/2^N identity + eps rho_1
-with rho_1 a pure target: the N-qubit cat state (|0...0> + |1...1>)/sqrt(2),
-its N = 2 case (the Werner state) or its N = 3 case (the eps-GHZ state).
+Every named family except custom_matrix is a point (N, eps) of one set, the
+mixtures rho = (1 - eps)/2^N identity + eps |cat_N><cat_N| with the N-qubit cat
+state (|0...0> + |1...1>)/sqrt(2).  A family may fix N (werner: 2, eps_ghz: 3)
+or eps (maximally_mixed: 0, cat: 1); the spec supplies the rest.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ from .operators import BlochVector, DenseOperator, _pauli_rows, _require_unit, v
 from .frames import Frame
 from .representations import CoefficientTable, PauliCoefficients, pauli_to_operator
 
-FAMILIES = ("maximally_mixed", "cat", "eps_cat", "werner", "eps_ghz", "custom_matrix")
+# eps-family -> (qubits it fixes, epsilon it fixes); None where the spec supplies it
+_MIXTURES = {
+    "maximally_mixed": (None, 0.0),
+    "cat": (None, 1.0),
+    "eps_cat": (None, None),
+    "werner": (2, None),
+    "eps_ghz": (3, None),
+}
+FAMILIES = (*_MIXTURES, "custom_matrix")
 
 _PLUS = {
     1: BlochVector(1.0, 0.0, 0.0),
@@ -80,20 +89,6 @@ def cat_state_vector(n: int) -> np.ndarray:
     return v
 
 
-def _eps_cat(n: int, eps: float) -> DenseOperator:
-    v = cat_state_vector(n)
-    m = (1.0 - eps) * np.eye(2**n) / 2**n + eps * np.outer(v, v.conj())
-    return DenseOperator(m, n, hermitian=True)
-
-
-def pure_target(family: str, qubits: int) -> DenseOperator | None:
-    """The pure target rho_1 of an eps-family on `qubits` qubits, or None for
-    a family that has none."""
-    if family in ("cat", "eps_cat", "werner", "eps_ghz"):
-        return _eps_cat(qubits, 1.0)
-    return None
-
-
 def _require_epsilon(spec: StateSpec) -> float:
     if spec.epsilon is None:
         raise ValueError(f"family {spec.family!r} needs an epsilon")
@@ -105,26 +100,6 @@ def _require_epsilon(spec: StateSpec) -> float:
 def build_state(spec: StateSpec) -> DenseOperator:
     """Construct the density operator described by a StateSpec."""
     family = spec.family
-    if family == "maximally_mixed":
-        if spec.qubits is None or spec.qubits < 1:
-            raise ValueError("maximally_mixed needs a positive qubit count")
-        return DenseOperator(np.eye(2**spec.qubits) / 2**spec.qubits, spec.qubits, hermitian=True)
-    if family == "cat":
-        if spec.qubits is None or spec.qubits < 1:
-            raise ValueError("cat needs a positive qubit count")
-        return _eps_cat(spec.qubits, 1.0)
-    if family == "eps_cat":
-        if spec.qubits is None or spec.qubits < 1:
-            raise ValueError("eps_cat needs a positive qubit count")
-        return _eps_cat(spec.qubits, _require_epsilon(spec))
-    if family == "werner":
-        if spec.qubits not in (None, 2):
-            raise ValueError("the Werner family is defined on exactly 2 qubits")
-        return _eps_cat(2, _require_epsilon(spec))
-    if family == "eps_ghz":
-        if spec.qubits not in (None, 3):
-            raise ValueError("the eps-GHZ family is defined on exactly 3 qubits")
-        return _eps_cat(3, _require_epsilon(spec))
     if family == "custom_matrix":
         if spec.matrix is None:
             raise ValueError("custom_matrix needs an explicit matrix")
@@ -135,7 +110,20 @@ def build_state(spec: StateSpec) -> DenseOperator:
         if not check.passed:
             raise ValueError(f"custom matrix is not a density operator: {check.reason}")
         return op
-    raise ValueError(f"unknown state family {spec.family!r}; options: {FAMILIES}")
+    if family not in _MIXTURES:
+        raise ValueError(f"unknown state family {spec.family!r}; options: {FAMILIES}")
+    n, eps = _MIXTURES[family]
+    if n is None:
+        n = spec.qubits
+        if n is None or n < 1:
+            raise ValueError(f"{family} needs a positive qubit count")
+    elif spec.qubits not in (None, n):
+        raise ValueError(f"the {family} family is defined on exactly {n} qubits")
+    if eps is None:
+        eps = _require_epsilon(spec)
+    v = cat_state_vector(n)
+    m = (1.0 - eps) * np.eye(2**n) / 2**n + eps * np.outer(v, v.conj())
+    return DenseOperator(m, n, hermitian=True)
 
 
 # --- closed-form separability bounds ---------------------------------------

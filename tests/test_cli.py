@@ -244,6 +244,25 @@ def test_min_wcan_threshold_search(capsys):
     assert code == 0
     report = json.loads(out)
     assert abs(report["threshold"] - 1 / 9) < 1e-5
+    # the target is the family at epsilon = 1; a custom matrix is its own target,
+    # so the Werner state at 1/2 given as a matrix reaches twice the Werner threshold
+    werner_half = [[0.375, 0, 0, 0.25], [0, 0.125, 0, 0], [0, 0, 0.125, 0], [0.25, 0, 0, 0.375]]
+    for state, expected in [
+        ({"family": "maximally_mixed", "n": 2}, 1.0),
+        ({"family": "maximally_mixed", "n": 2, "epsilon": 0.4}, 1.0),
+        ({"family": "cat", "n": 2}, 1 / 9),
+        ({"family": "werner", "epsilon": 0.5}, 1 / 9),
+        ({"family": "eps_ghz", "epsilon": 0.5}, 1 / 27),
+        ({"family": "custom_matrix", "matrix": werner_half}, 2 / 9),
+        ({"family": "custom_matrix", "epsilon": 0.3, "matrix": werner_half}, 2 / 9),
+    ]:
+        code, out, err = run_cli(
+            capsys,
+            ["min-wcan", "--state", json.dumps(state), "--grid", "12", "--refine", "1",
+             "--threshold-search"],
+        )
+        assert code == 0, state
+        assert abs(json.loads(out)["threshold"] - expected) < 1e-12, state
 
 
 def test_min_wcan_threshold_search_seven_qubits(capsys):
@@ -360,6 +379,38 @@ def test_epsilon_out_of_range_domain_error(capsys):
         capsys, ["ppt", "--state", '{"family": "werner", "epsilon": 1.5}']
     )
     assert code == 3
+
+
+_WERNER = '{"family": "werner", "epsilon": 0.2}'
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["coeffs", "--state", '{"family":"werner","epsilon":[1]}'], "--state"),
+        (["coeffs", "--state", '{"family":"custom_matrix","matrix":[[[1]]]}'], "--state"),
+        (["coeffs", "--state", '{"family":"custom_matrix","matrix":5}'], "--state"),
+        (["coeffs", "--state", '{"family":"eps_cat","n":[2],"epsilon":0.1}'], "--state"),
+        (["coeffs", "--state", _WERNER, "--frames", '{"kind":"custom","vectors":[[1,0]]}'],
+         "--frames"),
+        (["coeffs", "--state", _WERNER, "--frames", '{"kind":"custom","vectors":5}'], "--frames"),
+        (["witness", "--name", "werner", "--coeffs", '{"n": 2, "coeffs": [1,2]}'], "--coeffs"),
+        (["coeffs", "--state", _WERNER, "--frames",
+          '{"kind":"custom","vectors":[[1,0,0],[0,1,0]]}'], "--frames"),
+        (["coeffs", "--state", _WERNER, "--frames",
+          '{"kind":"reflected","vectors":[[2,0.1,0.1]]}'], "--frames"),
+        (["coeffs", "--state", _WERNER, "--frames", '"nope"'], "--frames"),
+        (["coeffs", "--state", _WERNER, "--frames", "[1]"], "--frames"),
+    ],
+)
+def test_unreadable_argument_is_input_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and flag in lines[0]
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_usage(capsys):

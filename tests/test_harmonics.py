@@ -8,6 +8,7 @@ import pytest
 from blochframes import (
     BlochVector,
     DenseOperator,
+    SphCoefficients,
     StateSpec,
     add_hosh,
     build_frame,
@@ -122,6 +123,17 @@ def test_add_hosh_rejects_reality_violation(rng):
         add_hosh(s, {((2, 1),): 0.3 - 0.2j, ((2, -1),): 0.3 + 0.2j})
     ok = add_hosh(s, {((2, 1),): 0.3 - 0.2j, ((2, -1),): -0.3 - 0.2j})
     assert len(ok.hosh) == 2
+
+
+def test_constructor_enforces_hosh_terms():
+    # one qubit, maximally mixed: an l = 1 term would move the operator it represents
+    c = pauli_coefficients(build_state(StateSpec("maximally_mixed", qubits=1)))
+    with pytest.raises(ValueError, match="all l <= 1"):
+        SphCoefficients(c, ((((1, 0),), 1.0),))
+    with pytest.raises(ValueError, match="reality pairing"):
+        SphCoefficients(c, ((((2, 1),), 0.3),))
+    s = SphCoefficients(c, ((((2, 0),), 0.25), (((2, 0),), 0.25), (((3, 0),), 0.0)))
+    assert s.hosh == ((((2, 0),), 0.5 + 0j),)
 
 
 def test_add_hosh_rejects_wrong_key_length(rng):

@@ -71,6 +71,35 @@ def test_epsilon_validation():
         build_state(StateSpec("werner", qubits=3, epsilon=0.1))
 
 
+def test_family_table_matches_formula():
+    # family -> (fixed qubit count, fixed epsilon); None where the spec gives it
+    table = {
+        "maximally_mixed": (None, 0.0),
+        "cat": (None, 1.0),
+        "eps_cat": (None, 0.3),
+        "werner": (2, 0.3),
+        "eps_ghz": (3, 0.3),
+    }
+    for family, (fixed_n, eps) in table.items():
+        for n in range(1, 6):
+            if fixed_n not in (None, n):
+                continue
+            v = cat_state_vector(n)
+            expected = (1.0 - eps) * np.eye(2**n) / 2**n + eps * np.outer(v, v.conj())
+            rho = build_state(StateSpec(family, qubits=n, epsilon=eps))
+            assert rho.qubits == n
+            assert np.array_equal(rho.matrix, expected), (family, n)
+    for spec, message in [
+        (StateSpec("werner", qubits=3, epsilon=0.1), "the werner family is defined on exactly 2"),
+        (StateSpec("eps_ghz", qubits=2, epsilon=0.1), "the eps_ghz family is defined on exactly 3"),
+        (StateSpec("cat", qubits=0), "cat needs a positive qubit count"),
+        (StateSpec("eps_cat", qubits=2), "needs an epsilon"),
+        (StateSpec("bell", qubits=2, epsilon=0.1), "unknown state family"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            build_state(spec)
+
+
 def test_unknown_family():
     with pytest.raises(ValueError):
         build_state(StateSpec("bell"))

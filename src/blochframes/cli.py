@@ -37,8 +37,7 @@ from .states import (
     bound_duer,
     bound_general,
     build_state,
-    ghz_ensemble,
-    werner_ensemble,
+    cat_ensemble,
 )
 
 EXIT_OK = 0
@@ -151,17 +150,14 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-# verify-ensemble --name -> (ensemble factory, default target state)
-_NAMED_ENSEMBLES = {
-    "werner": (werner_ensemble, StateSpec("werner", epsilon=1 / 3)),
-    "ghz": (ghz_ensemble, StateSpec("eps_ghz", epsilon=1 / 5)),
-}
+# verify-ensemble --name -> (qubits, family of the default target at eps_N)
+_NAMED_ENSEMBLES = {"werner": (2, "werner"), "ghz": (3, "eps_ghz")}
 
 
 def cmd_verify_ensemble(args) -> int:
     if args.name:
-        factory, spec = _NAMED_ENSEMBLES[args.name]
-        ensemble = factory()
+        n, family = _NAMED_ENSEMBLES[args.name]
+        ensemble, spec = cat_ensemble(n), StateSpec(family, epsilon=bound_duer(n))
     else:
         ensemble = _read("--file", args.file, ProductEnsemble.from_json)
         spec = None

@@ -4,13 +4,15 @@ closed-form separability bounds.
 Every named family except custom_matrix is a point (N, eps) of one set, the
 mixtures rho = (1 - eps)/2^N identity + eps |cat_N><cat_N| with the N-qubit cat
 state (|0...0> + |1...1>)/sqrt(2).  A family may fix N (werner: 2, eps_ghz: 3)
-or eps (maximally_mixed: 0, cat: 1); the spec supplies the rest.
+or eps (maximally_mixed: 0, cat: 1); the spec supplies the rest.  It is
+separable exactly up to eps_N = bound_duer(N), where cat_ensemble(N) proves it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -64,11 +66,15 @@ class StateSpec:
             for row in data["matrix"]:
                 rows.append([complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e) for e in row])
             matrix = np.array(rows)
-        qubits = data.get("n", data.get("qubits"))
+        qubits, epsilon = data.get("n", data.get("qubits")), data.get("epsilon")
+        if isinstance(qubits, bool) or not isinstance(qubits, (numbers.Integral, type(None))):
+            raise ValueError(f"qubit count must be an integer, got {qubits!r}")
+        if isinstance(epsilon, bool):
+            raise ValueError(f"epsilon must be a number, got {epsilon!r}")
         return cls(
             family=str(data["family"]),
             qubits=None if qubits is None else int(qubits),
-            epsilon=None if data.get("epsilon") is None else float(data["epsilon"]),
+            epsilon=None if epsilon is None else float(epsilon),
             matrix=matrix,
         )
 
@@ -109,7 +115,8 @@ def build_state(spec: StateSpec) -> DenseOperator:
         check = validate_density(op)
         if not check.passed:
             raise ValueError(f"custom matrix is not a density operator: {check.reason}")
-        return op
+        # Hermitian within the validation tolerance; made exactly so for every later step
+        return DenseOperator(0.5 * (m + m.conj().T), op.qubits, hermitian=True)
     if family not in _MIXTURES:
         raise ValueError(f"unknown state family {spec.family!r}; options: {FAMILIES}")
     n, eps = _MIXTURES[family]
@@ -182,14 +189,15 @@ class ProductEnsemble:
 
     def __post_init__(self) -> None:
         terms = tuple(EnsembleTerm(float(p), tuple(v), str(lab)) for p, v, lab in self.terms)
-        total = 0.0
-        # each test is written so that a NaN fails it
+        # each test is written so that a NaN fails it; the upper bound also keeps
+        # the exact sum below from overflowing
         for p, vectors, _ in terms:
-            if not p >= -1e-15:
-                raise ValueError(f"negative probability {p}")
+            if not -1e-15 <= p <= 1.0 + 1e-14:
+                raise ValueError(f"probability {p} lies outside [0, 1]")
             if len(vectors) != self.qubits:
                 raise ValueError(f"term has {len(vectors)} vectors, expected {self.qubits}")
-            total += p
+        # an exactly rounded sum, so thousands of terms do not drift past the tolerance
+        total = math.fsum(p for p, _, _ in terms)
         vectors = _require_unit([v for _, term_vectors, _ in terms for v in term_vectors])
         if not abs(total - 1.0) <= 1e-14:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
@@ -241,45 +249,37 @@ class ProductEnsemble:
         return cls(qubits, terms)
 
 
+def cat_ensemble(n: int) -> ProductEnsemble:
+    """The eps-cat state at eps_N = bound_duer(n), the sharp separability bound,
+    as 2 + 4^(N-1) pure product terms on the cardinal6 vertices.
+
+    Two pole terms, all +z and all -z, weigh eps_N/2 each and give the
+    diagonal.  Every x/y leg string with an even number of y legs takes each
+    sign pattern whose product is (-1)^(#y/2), at weight eps_N/2^(N-1).  Over
+    those patterns every lower-order correlation cancels, and the strings' own
+    correlations sum to the cat coherence.  The weights sum to eps_N (1 + 2^(N-1)) = 1.
+    """
+    eps = bound_duer(n)
+    terms = [EnsembleTerm(eps / 2, (_axis(3, s),) * n, "poles") for s in (1, -1)]
+    for legs in itertools.product("xy", repeat=n):
+        ys, axes = legs.count("y"), [1 if leg == "x" else 2 for leg in legs]
+        if ys % 2:
+            continue
+        for signs in itertools.product((1, -1), repeat=n):
+            if math.prod(signs) == (-1) ** (ys // 2):
+                vectors = tuple(map(_axis, axes, signs))
+                terms.append(EnsembleTerm(eps / 2 ** (n - 1), vectors, ",".join(legs)))
+    return ProductEnsemble(n, tuple(terms))
+
+
 def werner_ensemble() -> ProductEnsemble:
-    """Six equally weighted product terms whose mixture is the eps = 1/3
-    Werner state: aligned z pairs, aligned x pairs, anti-aligned y pairs."""
-    terms = []
-    for s in (1, -1):
-        terms.append(EnsembleTerm(1 / 6, (_axis(3, s), _axis(3, s)), "z,z"))
-    for s in (1, -1):
-        terms.append(EnsembleTerm(1 / 6, (_axis(1, s), _axis(1, s)), "x,x"))
-    for s in (1, -1):
-        terms.append(EnsembleTerm(1 / 6, (_axis(2, s), _axis(2, -s)), "y,-y"))
-    return ProductEnsemble(2, tuple(terms))
-
-
-_ODD_SIGN_TRIPLES = ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))
-_EVEN_SIGN_TRIPLES = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+    """The eps = 1/3 Werner state as six product terms: cat_ensemble(2)."""
+    return cat_ensemble(2)
 
 
 def ghz_ensemble() -> ProductEnsemble:
-    """Eighteen pure product terms whose mixture is the eps = 1/5 GHZ state.
-
-    Two pole-aligned terms carry weight 1/10 each and produce the three
-    two-qubit zz correlations; four x-axis triples with an even number of
-    sign flips produce the xxx correlation; three groups of four terms with
-    one x leg and two y legs, flipped an odd number of times, produce the
-    -xyy, -yxy and -yyx correlations.  Each group of four is an expanded
-    rank-4 mixture kept together by its label.
-    """
-    terms = [
-        EnsembleTerm(1 / 10, (_axis(3, 1), _axis(3, 1), _axis(3, 1)), "poles"),
-        EnsembleTerm(1 / 10, (_axis(3, -1), _axis(3, -1), _axis(3, -1)), "poles"),
-    ]
-    for signs in _EVEN_SIGN_TRIPLES:
-        vectors = tuple(_axis(1, s) for s in signs)
-        terms.append(EnsembleTerm(1 / 20, vectors, "x,x,x"))
-    for axes, label in (((1, 2, 2), "x,y,y"), ((2, 1, 2), "y,x,y"), ((2, 2, 1), "y,y,x")):
-        for signs in _ODD_SIGN_TRIPLES:
-            vectors = tuple(_axis(a, s) for a, s in zip(axes, signs))
-            terms.append(EnsembleTerm(1 / 20, vectors, label))
-    return ProductEnsemble(3, tuple(terms))
+    """The eps = 1/5 GHZ state as eighteen product terms: cat_ensemble(3)."""
+    return cat_ensemble(3)
 
 
 def dilute_with_mixed(e: ProductEnsemble, weight: float) -> ProductEnsemble:

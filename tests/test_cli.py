@@ -401,6 +401,10 @@ _WERNER = '{"family": "werner", "epsilon": 0.2}'
           '{"kind":"reflected","vectors":[[2,0.1,0.1]]}'], "--frames"),
         (["coeffs", "--state", _WERNER, "--frames", '"nope"'], "--frames"),
         (["coeffs", "--state", _WERNER, "--frames", "[1]"], "--frames"),
+        # a count must be a JSON integer, and neither key a boolean
+        (["coeffs", "--state", '{"family":"eps_cat","n":2.7,"epsilon":0.1}'], "--state"),
+        (["coeffs", "--state", '{"family":"werner","epsilon":true}'], "--state"),
+        (["coeffs", "--state", '{"family":"maximally_mixed","n":true}'], "--state"),
     ],
 )
 def test_unreadable_argument_is_input_error(capsys, argv, flag):
@@ -411,6 +415,27 @@ def test_unreadable_argument_is_input_error(capsys, argv, flag):
     assert len(lines) == 1
     assert lines[0].startswith("error:") and flag in lines[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("skew, code", [(5e-11, 0), (2e-10, 3)])
+def test_custom_matrix_within_validation_tolerance_reaches_every_subcommand(capsys, skew, code):
+    # build_state accepts a matrix Hermitian within 1e-10; each subcommand must
+    # take what it accepts, and the one it refuses says why
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = 1j * skew
+    state = json.dumps(
+        {"family": "custom_matrix", "matrix": [[[e.real, e.imag] for e in row] for row in m]}
+    )
+    for argv in (
+        ["ppt", "--state", state],
+        ["coeffs", "--state", state],
+        ["witness", "--name", "werner", "--state", state],
+        ["min-wcan", "--state", state, "--grid", "8", "--refine", "0"],
+    ):
+        got, out, err = run_cli(capsys, argv)
+        assert got == code, (argv[0], err)
+        if code:
+            assert "not Hermitian" in err
 
 
 def test_unknown_subcommand_usage(capsys):

@@ -13,7 +13,9 @@ from blochframes import (
     ProductEnsemble,
     StateSpec,
     build_frame,
+    bound_duer,
     build_state,
+    cat_ensemble,
     certify,
     ensemble_to_table,
     ghz_ensemble,
@@ -42,6 +44,16 @@ def test_certify_ghz_ensemble_direct():
     cert = certify(target, ghz_ensemble())
     assert cert.verdict == "separable"
     assert cert.representation is None
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_certify_cat_ensemble_at_the_sharp_bound(n):
+    target = build_state(StateSpec("eps_cat", qubits=n, epsilon=bound_duer(n)))
+    e = cat_ensemble(n)
+    table = ensemble_to_table(e, [build_frame("cardinal6")] * n)
+    assert table.min_entry() >= 0
+    for representation in (e, table):
+        assert certify(target, representation).verdict == "separable"
 
 
 def test_certify_undetermined_on_negative_canonical_table():

@@ -15,6 +15,7 @@ from blochframes import (
     build_frame,
     bloch_projector,
     build_state,
+    cat_ensemble,
     cat_state_vector,
     dilute_with_mixed,
     ensemble_to_table,
@@ -24,6 +25,7 @@ from blochframes import (
     validate_density,
     werner_ensemble,
 )
+from blochframes.operators import RECONSTRUCTION_TOL
 
 
 def test_cat_state_vector():
@@ -179,6 +181,31 @@ def test_ghz_ensemble_mixes_exactly():
     assert np.abs(e.mixture().matrix - target.matrix).max() < 1e-14
 
 
+# werner_ensemble() as (probability, Bloch vectors), term by term
+_WERNER_TERMS = [
+    (1 / 6, ((0, 0, 1), (0, 0, 1))),
+    (1 / 6, ((0, 0, -1), (0, 0, -1))),
+    (1 / 6, ((1, 0, 0), (1, 0, 0))),
+    (1 / 6, ((-1, 0, 0), (-1, 0, 0))),
+    (1 / 6, ((0, 1, 0), (0, -1, 0))),
+    (1 / 6, ((0, -1, 0), (0, 1, 0))),
+]
+
+
+def test_werner_ensemble_terms_pinned():
+    e = werner_ensemble()
+    assert [(p, tuple(map(tuple, vectors))) for p, vectors, _ in e.terms] == _WERNER_TERMS
+    assert [t.label for t in e.terms] == ["poles", "poles", "x,x", "x,x", "y,y", "y,y"]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cat_ensemble_mixes_to_the_sharp_bound(n):
+    e = cat_ensemble(n)
+    assert len(e.terms) == 2 + 4 ** (n - 1)
+    target = build_state(StateSpec("eps_cat", qubits=n, epsilon=bound_duer(n)))
+    assert np.linalg.norm(e.mixture().matrix - target.matrix) <= RECONSTRUCTION_TOL
+
+
 def test_ensemble_terms_are_valid_densities():
     for e in (werner_ensemble(), ghz_ensemble()):
         for _p, vectors, _label in e.terms:
@@ -207,6 +234,17 @@ def test_ensemble_validation():
         ProductEnsemble(2, (EnsembleTerm(1.0, (z,)),))  # wrong vector count
     with pytest.raises(ValueError):
         ProductEnsemble(1, (EnsembleTerm(1.0, (BlochVector(0, 0, 0.5),)),))
+    with pytest.raises(ValueError, match="sum"):
+        ProductEnsemble(1, (EnsembleTerm(0.5, (z,)), EnsembleTerm(0.5 + 1e-13, (z,))))
+    with pytest.raises(ValueError):
+        ProductEnsemble(1, (EnsembleTerm(1e308, (z,)),) * 2)  # would overflow the sum
+
+
+@pytest.mark.parametrize("t", [731, 2187, 3000, 6561])
+def test_ensemble_accepts_many_equal_terms(t):
+    # a plain running sum of t copies of 1/t drifts past 1e-14 for these t
+    z = BlochVector(0.0, 0.0, 1.0)
+    assert len(ProductEnsemble(1, (EnsembleTerm(1 / t, (z,)),) * t).terms) == t
 
 
 def test_ensemble_json_roundtrip():
@@ -252,6 +290,9 @@ def test_dilute_with_mixed_reaches_smaller_epsilon():
     assert np.abs(diluted.mixture().matrix - target.matrix).max() < 1e-14
     assert len(diluted.terms) == 10
     assert min(p for p, _, _ in diluted.terms) >= 0
+    diluted = dilute_with_mixed(cat_ensemble(4), 0.5)
+    target = build_state(StateSpec("eps_cat", qubits=4, epsilon=bound_duer(4) / 2))
+    assert np.linalg.norm(diluted.mixture().matrix - target.matrix) <= RECONSTRUCTION_TOL
 
 
 def test_ghz_pauli_pattern():

@@ -5,7 +5,7 @@ Subcommands:
   coeffs           expand a state over product frames and dump the table
   verify-ensemble  check that a product ensemble mixes to its target state
   min-wcan         minimize the expansion function over product directions
-  witness          evaluate a correlation witness on a state
+  witness          evaluate a correlation witness (werner: 2 qubits, ghz: N >= 3)
   ppt              smallest eigenvalue of the partial transpose (2 qubits)
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 usage error or an
@@ -238,13 +238,14 @@ def cmd_witness(args) -> int:
 
 def cmd_ppt(args) -> int:
     rho = build_state(_read("--state", args.state, StateSpec.from_json))
-    value = ppt_min_eigenvalue(rho, transposed_side=args.side)
+    value = ppt_min_eigenvalue(rho)
     tol = args.tol if args.tol is not None else SIGN_TOL
     _emit(
         args,
         {
             "min_eigenvalue": value,
-            "transposed_side": args.side,
+            # both sides of a two-qubit partial transpose have the same spectrum
+            "transposed_side": 1,
             # PPT is necessary and sufficient for two qubits, the only case ppt accepts
             "verdict": "nonseparable" if value < -tol else "separable",
         },
@@ -305,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ppt", help="smallest partial-transpose eigenvalue, two qubits")
     p.add_argument("--state", required=True, help="state JSON (inline or a file path)")
-    p.add_argument("--side", type=int, default=1, choices=(0, 1), help="which factor to transpose")
     p.set_defaults(func=cmd_ppt)
 
     return parser

@@ -4,7 +4,8 @@ A nonnegative coefficient table over product frames is a constructive proof
 of separability: it exhibits the state as a convex mixture of pure product
 states.  Refutations come from two independent routes, a correlation witness
 evaluated on the Pauli coefficients and (for two qubits) the partial
-transpose criterion.
+transpose criterion.  witness_ghz reads the x/y strings cat_ensemble is built
+from, and refutes the eps-cat family above the sharp bound eps_N at every N >= 3.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from .operators import RECONSTRUCTION_TOL, SIGN_TOL, DenseOperator, _deviation, hermitian_eigenvalues
 from .representations import CoefficientTable, PauliCoefficients, reconstruct_discrete
+from .states import _cat_strings
 
 
 class CertificateError(ValueError):
@@ -97,8 +99,10 @@ class WitnessReport:
         }
 
 
-def _verdict(value: float, threshold: float) -> str:
-    return "nonseparable" if value > threshold + SIGN_TOL else "inconclusive"
+def _report(witness: str, value: float, detail: dict) -> WitnessReport:
+    """Grade a witness value against 1, the most any separable state reaches."""
+    verdict = "nonseparable" if value > 1.0 + SIGN_TOL else "inconclusive"
+    return WitnessReport(witness, float(value), 1.0, verdict, detail)
 
 
 def witness_werner(c: PauliCoefficients) -> WitnessReport:
@@ -107,40 +111,29 @@ def witness_werner(c: PauliCoefficients) -> WitnessReport:
     if c.qubits != 2:
         raise ValueError("witness_werner needs two-qubit coefficients")
     parts = {f"{j}{j}": float(c.coeffs[j, j]) for j in (1, 2, 3)}
-    value = sum(abs(v) for v in parts.values())
-    return WitnessReport(
-        witness="werner",
-        value=float(value),
-        threshold=1.0,
-        verdict=_verdict(value, 1.0),
-        detail=parts,
-    )
+    return _report("werner", sum(abs(v) for v in parts.values()), parts)
 
 
 def witness_ghz(c: PauliCoefficients) -> WitnessReport:
-    """|c_111 - c_122 - c_212 - c_221 + c_330| against threshold 1.
+    """|sum_s sign_s c_s + c_330...0| over the cat strings (s, sign_s) of
+    states._cat_strings, against 1; at N = 3, |c_111 - c_122 - c_212 - c_221 + c_330|.
 
-    Tuned to the eps-GHZ correlation pattern, where it evaluates to 5 eps;
-    on states with a different correlation structure it stays valid but can
-    be far from tight.
+    Separable states stay at or below 1.  For a product state c_a = prod_k
+    (1, n_k)[a_k], so the string sum is Re prod_k (x_k + i y_k), at most
+    sin t_1 sin t_2 in absolute value (t_k the polar angle of n_k), while
+    c_330...0 = cos t_1 cos t_2: by Cauchy-Schwarz |value| <= 1, and by
+    convexity so on every mixture.  The eps-cat family reaches (1 + 2^(N-1))
+    eps, past 1 exactly above eps_N = bound_duer(N).  On other correlation
+    structures it stays valid but can be far from tight.
     """
-    if c.qubits != 3:
-        raise ValueError("witness_ghz needs three-qubit coefficients")
-    parts = {
-        "111": float(c.coeffs[1, 1, 1]),
-        "122": float(c.coeffs[1, 2, 2]),
-        "212": float(c.coeffs[2, 1, 2]),
-        "221": float(c.coeffs[2, 2, 1]),
-        "330": float(c.coeffs[3, 3, 0]),
-    }
-    value = abs(parts["111"] - parts["122"] - parts["212"] - parts["221"] + parts["330"])
-    return WitnessReport(
-        witness="ghz",
-        value=float(value),
-        threshold=1.0,
-        verdict=_verdict(value, 1.0),
-        detail=parts,
-    )
+    n = c.qubits
+    if n < 3:
+        raise ValueError("witness_ghz needs at least three-qubit coefficients")
+    terms = [*_cat_strings(n), ((3, 3) + (0,) * (n - 2), 1)]
+    detail = {"".join(map(str, axes)): float(c.coeffs[axes]) for axes, _ in terms}
+    # left to right, then the zz term: at N = 3 bit for bit the formula above
+    value = abs(sum(sign * v for (_, sign), v in zip(terms, detail.values())))
+    return _report("ghz", value, detail)
 
 
 # --- partial transpose -------------------------------------------------------
@@ -152,12 +145,8 @@ def partial_transpose(rho: DenseOperator, transposed_side: int = 1) -> np.ndarra
         raise ValueError("partial transpose is implemented for two qubits only")
     if transposed_side not in (0, 1):
         raise ValueError("transposed_side must be 0 or 1")
-    t = rho.matrix.reshape(2, 2, 2, 2)
-    if transposed_side == 1:
-        t = t.transpose(0, 3, 2, 1)
-    else:
-        t = t.transpose(2, 1, 0, 3)
-    return t.reshape(4, 4)
+    t = rho.matrix.reshape(2, 2, 2, 2)  # (row 0, row 1, column 0, column 1)
+    return t.swapaxes(transposed_side, 2 + transposed_side).reshape(4, 4)
 
 
 def ppt_min_eigenvalue(rho: DenseOperator, transposed_side: int = 1) -> float:

@@ -44,6 +44,13 @@ def _axis(axis: int, sign: int) -> BlochVector:
     return _PLUS[axis] if sign > 0 else _MINUS[axis]
 
 
+def _json_number(name: str, value, kind: type = float):
+    """value as kind (int or float); a boolean, or a fraction where kind is int, is refused."""
+    if isinstance(value, bool) or (kind is int and not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True, eq=False)
 class StateSpec:
     """Description of one state: a family name plus its parameters."""
@@ -67,14 +74,10 @@ class StateSpec:
                 rows.append([complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e) for e in row])
             matrix = np.array(rows)
         qubits, epsilon = data.get("n", data.get("qubits")), data.get("epsilon")
-        if isinstance(qubits, bool) or not isinstance(qubits, (numbers.Integral, type(None))):
-            raise ValueError(f"qubit count must be an integer, got {qubits!r}")
-        if isinstance(epsilon, bool):
-            raise ValueError(f"epsilon must be a number, got {epsilon!r}")
         return cls(
             family=str(data["family"]),
-            qubits=None if qubits is None else int(qubits),
-            epsilon=None if epsilon is None else float(epsilon),
+            qubits=None if qubits is None else _json_number("qubit count", qubits, int),
+            epsilon=None if epsilon is None else _json_number("epsilon", epsilon),
             matrix=matrix,
         )
 
@@ -235,11 +238,12 @@ class ProductEnsemble:
     @classmethod
     def from_json(cls, data: dict) -> "ProductEnsemble":
         try:
-            qubits = int(data["qubits"])
+            qubits = _json_number("qubit count", data["qubits"], int)
             terms = tuple(
                 EnsembleTerm(
-                    float(t["probability"]),
-                    tuple(BlochVector(float(v[0]), float(v[1]), float(v[2])) for v in t["vectors"]),
+                    _json_number("probability", t["probability"]),
+                    tuple(BlochVector(*(_json_number("vector component", x) for x in v))
+                          for v in t["vectors"]),  # BlochVector takes exactly three
                     str(t.get("label", "")),
                 )
                 for t in data["terms"]
@@ -249,26 +253,33 @@ class ProductEnsemble:
         return cls(qubits, terms)
 
 
+def _cat_strings(n: int):
+    """(axes, sign) for each x/y Pauli string with a correlation in the N-qubit
+    cat state: axes of 1 (x) and 2 (y) with an even number of 2s, in
+    itertools.product order, and that correlation, sign = (-1)^(#y/2)."""
+    for axes in itertools.product((1, 2), repeat=n):
+        if (ys := axes.count(2)) % 2 == 0:
+            yield axes, (-1) ** (ys // 2)
+
+
 def cat_ensemble(n: int) -> ProductEnsemble:
     """The eps-cat state at eps_N = bound_duer(n), the sharp separability bound,
     as 2 + 4^(N-1) pure product terms on the cardinal6 vertices.
 
     Two pole terms, all +z and all -z, weigh eps_N/2 each and give the
-    diagonal.  Every x/y leg string with an even number of y legs takes each
-    sign pattern whose product is (-1)^(#y/2), at weight eps_N/2^(N-1).  Over
+    diagonal.  Every x/y string of _cat_strings(n) takes each sign pattern
+    whose product is the string's sign, at weight eps_N/2^(N-1).  Over
     those patterns every lower-order correlation cancels, and the strings' own
     correlations sum to the cat coherence.  The weights sum to eps_N (1 + 2^(N-1)) = 1.
     """
     eps = bound_duer(n)
     terms = [EnsembleTerm(eps / 2, (_axis(3, s),) * n, "poles") for s in (1, -1)]
-    for legs in itertools.product("xy", repeat=n):
-        ys, axes = legs.count("y"), [1 if leg == "x" else 2 for leg in legs]
-        if ys % 2:
-            continue
+    for axes, sign in _cat_strings(n):
+        label = ",".join("xy"[a - 1] for a in axes)
         for signs in itertools.product((1, -1), repeat=n):
-            if math.prod(signs) == (-1) ** (ys // 2):
+            if math.prod(signs) == sign:
                 vectors = tuple(map(_axis, axes, signs))
-                terms.append(EnsembleTerm(eps / 2 ** (n - 1), vectors, ",".join(legs)))
+                terms.append(EnsembleTerm(eps / 2 ** (n - 1), vectors, label))
     return ProductEnsemble(n, tuple(terms))
 
 

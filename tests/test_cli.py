@@ -285,6 +285,14 @@ def test_witness_subcommand(capsys):
     report = json.loads(out)
     assert report["verdict"] == "nonseparable"
     assert abs(report["value"] - 1.5) < 1e-12
+    # the GHZ witness reads any N >= 3: (1 + 2^4) * 0.06 on five qubits
+    code, out, err = run_cli(
+        capsys, ["witness", "--name", "ghz", "--state", '{"family": "eps_cat", "n": 5, "epsilon": 0.06}']
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "nonseparable"
+    assert abs(report["value"] - 1.02) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -384,6 +392,12 @@ def test_epsilon_out_of_range_domain_error(capsys):
 _WERNER = '{"family": "werner", "epsilon": 0.2}'
 
 
+def _ensemble_json(qubits=2, probability=1.0, first=(0.0, 0.0, 1.0)) -> str:
+    """A one-term two-qubit ensemble file, inline, with one field replaced."""
+    term = {"probability": probability, "vectors": [first, [0.0, 0.0, 1.0]]}
+    return json.dumps({"qubits": qubits, "terms": [term]})
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -405,6 +419,14 @@ _WERNER = '{"family": "werner", "epsilon": 0.2}'
         (["coeffs", "--state", '{"family":"eps_cat","n":2.7,"epsilon":0.1}'], "--state"),
         (["coeffs", "--state", '{"family":"werner","epsilon":true}'], "--state"),
         (["coeffs", "--state", '{"family":"maximally_mixed","n":true}'], "--state"),
+        # and so in an ensemble file, where a probability or a vector component
+        # may not be a boolean either, and a vector has exactly three components
+        (["verify-ensemble", "--state", _WERNER, "--file", _ensemble_json(qubits=2.7)], "--file"),
+        (["verify-ensemble", "--state", _WERNER, "--file", _ensemble_json(probability=True)],
+         "--file"),
+        (["verify-ensemble", "--state", _WERNER, "--file", _ensemble_json(first=[0.0, 0.0, True])], "--file"),
+        (["verify-ensemble", "--state", _WERNER, "--file", _ensemble_json(first=[0.0, 0.0, 1.0, 7.0])],
+         "--file"),
     ],
 )
 def test_unreadable_argument_is_input_error(capsys, argv, flag):

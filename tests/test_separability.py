@@ -115,6 +115,29 @@ def test_witness_ghz_values():
         rep = witness_ghz(c)
         assert abs(rep.value - value) < 1e-12
         assert rep.verdict == verdict
+    # eps-cat reaches (1 + 2^(N-1)) eps, passing 1 exactly where cat_ensemble(n)
+    # stops certifying
+    for n in range(3, 9):
+        for factor, verdict in ((1.0, "inconclusive"), (1.001, "nonseparable")):
+            eps = factor * bound_duer(n)
+            c = pauli_coefficients(build_state(StateSpec("eps_cat", qubits=n, epsilon=eps)))
+            rep = witness_ghz(c)
+            assert abs(rep.value - (1 + 2 ** (n - 1)) * eps) < 1e-12
+            assert rep.verdict == verdict, (n, factor)
+            assert len(rep.detail) == 2 ** (n - 1) + 1
+
+
+def test_witness_ghz_three_qubit_formula_is_exact(rng):
+    for _ in range(20):
+        c = pauli_coefficients(random_density(rng, 3))
+        rep = witness_ghz(c)
+        c111, c122, c212, c221, c330 = (
+            float(c.coeffs[a]) for a in ((1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1), (3, 3, 0))
+        )
+        assert rep.value == abs(c111 - c122 - c212 - c221 + c330)
+        assert list(rep.detail.items()) == [
+            ("111", c111), ("122", c122), ("212", c212), ("221", c221), ("330", c330)
+        ]
 
 
 def test_witness_qubit_count_guards(rng):
@@ -223,8 +246,8 @@ _direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(
 
 @st.composite
 def _product_ensembles(draw):
-    """Random product ensembles on 2 or 3 qubits with 4 to 8 terms."""
-    n = draw(st.sampled_from((2, 3)))
+    """Random product ensembles on 2 to 4 qubits with 4 to 8 terms."""
+    n = draw(st.sampled_from((2, 3, 4)))
     terms = draw(st.integers(4, 8))
     raw = draw(st.lists(st.floats(0.1, 1.0), min_size=terms, max_size=terms))
     probs = np.array(raw) / sum(raw)

@@ -10,7 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 usage error or an
 argument that does not read as its object (--state, --frames, --file,
---coeffs), 3 domain error, 4 verification failure.
+--coeffs), such as a string or a boolean where a number belongs, 3 domain error
+(such as an epsilon outside [0, 1] or an n its family does not take), 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _read(flag: str, text: str, build):
         return build(json.loads(s if s.startswith(("{", "[", '"')) else Path(text).read_text()))
     except json.JSONDecodeError as exc:
         raise _InputError(f"{flag} is not valid JSON: {exc}") from exc
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:  # overflow: an integer beyond float range
         raise _InputError(f"{flag}: {exc}") from exc
     except (KeyError, TypeError, IndexError) as exc:
         raise _InputError(f"{flag}: malformed value ({type(exc).__name__}: {exc})") from exc
@@ -167,11 +169,8 @@ def cmd_verify_ensemble(args) -> int:
         raise _InputError("--state is required for ensembles loaded from a file")
     target = build_state(spec)
     if target.qubits != ensemble.qubits:
-        raise ValueError(
-            f"ensemble acts on {ensemble.qubits} qubits, target on {target.qubits}"
-        )
-    mixed = ensemble.mixture()
-    deviation = _deviation(mixed, target)
+        raise ValueError(f"ensemble acts on {ensemble.qubits} qubits, target on {target.qubits}")
+    deviation = _deviation(ensemble.mixture(), target)
     tol = args.tol if args.tol is not None else RECONSTRUCTION_TOL
     passed = deviation <= tol
     _emit(
@@ -228,10 +227,7 @@ def _coeffs_for_witness(args) -> PauliCoefficients:
 
 def cmd_witness(args) -> int:
     c = _coeffs_for_witness(args)
-    if args.name == "werner":
-        report = witness_werner(c)
-    else:
-        report = witness_ghz(c)
+    report = (witness_werner if args.name == "werner" else witness_ghz)(c)
     _emit(args, report.to_json())
     return EXIT_OK
 

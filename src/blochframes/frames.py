@@ -12,7 +12,7 @@ with M = A (A^T A)^{-1}.  The duals satisfy the resolutions of identity
 so any single-qubit operator X expands as X = sum_a P_a tr(Q_a X).
 Vector sets whose centroid vanishes and whose second moments average to
 delta_jk/3 ("balanced" sets below) have duals in the closed form
-Q_a = (1/K)(1 + 3 sigma.n_a).
+Q_a = (1/K)(1 + 3 sigma.n_a).  frame_from_json reads each vector as three JSON numbers.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .operators import BlochVector, DenseOperator, _pauli_matrices, _pauli_rows, _require_unit
+from .operators import _json_vector
 
 GRAM_RANK_CUTOFF = 1e-10
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -38,16 +39,7 @@ POLYHEDRON_SIZES = {
     "dodecahedron": 20,
 }
 
-FRAME_KINDS = (
-    "cardinal6",
-    "tetrahedron",
-    "octahedron",
-    "cube",
-    "icosahedron",
-    "dodecahedron",
-    "reflected",
-    "custom",
-)
+FRAME_KINDS = ("cardinal6", *POLYHEDRON_SIZES, "reflected", "custom")
 
 
 class NonSpanningFrameError(ValueError):
@@ -270,9 +262,9 @@ def frame_from_json(obj: object) -> Frame:
         return build_frame(obj)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError('frame JSON must be {"kind": ..., "vectors": [...]} or a kind string')
-    vectors = None
-    if obj.get("vectors") is not None:
-        vectors = [BlochVector(float(v[0]), float(v[1]), float(v[2])) for v in obj["vectors"]]
+    vectors = obj.get("vectors")
+    if vectors is not None:
+        vectors = [_json_vector("frame vector", v) for v in vectors]
     return build_frame(str(obj["kind"]), vectors)
 
 

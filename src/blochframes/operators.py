@@ -18,6 +18,8 @@ DEFAULT_VALIDATION_TOL = 1e-10
 UNIT_NORM_TOL = 1e-12  # |norm - 1| up to which a Bloch vector counts as unit
 RECONSTRUCTION_TOL = 1e-10  # deviation of a reconstruction or mixture from its target
 SIGN_TOL = 1e-12  # slack on the sign of a weight, eigenvalue or witness value
+# what _json_number reads: the types json decodes numbers to, and numpy's
+_INTEGERS, _REALS = (int, np.integer), (int, float, np.integer, np.floating)
 
 
 class BlochVector(NamedTuple):
@@ -52,6 +54,23 @@ class BlochVector(NamedTuple):
         theta = math.acos(max(-1.0, min(1.0, self.z / n)))
         phi = math.atan2(self.y, self.x) % (2.0 * math.pi)
         return theta, phi
+
+
+def _json_number(name: str, value, kind: type = float):
+    """A JSON number as kind (int or float).  A string or a boolean is refused, and
+    so is a fraction where kind is int; numpy numbers from library callers pass."""
+    if isinstance(value, bool) or not isinstance(value, _INTEGERS if kind is int else _REALS):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
+def _json_vector(name: str, value) -> BlochVector:
+    """A JSON list of exactly three numbers as a BlochVector."""
+    try:
+        x, y, z = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must hold exactly three numbers, got {value!r}") from None
+    return BlochVector(*(_json_number(f"{name} component", c) for c in (x, y, z)))
 
 
 def _require_unit(vectors: BlochVector | Sequence[BlochVector]) -> np.ndarray:

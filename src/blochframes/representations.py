@@ -24,6 +24,7 @@ from .operators import (
     DEFAULT_VALIDATION_TOL,
     BlochVector,
     DenseOperator,
+    _json_number,
     _pauli_rows,
     _require_unit,
     sigma_stack,
@@ -85,21 +86,17 @@ class PauliCoefficients:
 
     def to_dict(self) -> dict:
         """JSON form {"n": N, "coeffs": {"a1...aN": value}} listing nonzeros."""
-        entries = {}
-        for idx in np.ndindex(*self.coeffs.shape):
-            v = float(self.coeffs[idx])
-            if v != 0.0:
-                entries["".join(str(i) for i in idx)] = v
+        entries = {"".join(map(str, idx)): float(v) for idx, v in np.ndenumerate(self.coeffs) if v}
         return {"n": self.qubits, "coeffs": entries}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PauliCoefficients":
-        n = int(data["n"])
+        n = _json_number("qubit count", data["n"], int)
         c = np.zeros((4,) * n)
         for key, value in dict(data.get("coeffs", {})).items():
             if len(key) != n or any(ch not in "0123" for ch in key):
                 raise ValueError(f"bad coefficient index {key!r} for {n} qubits")
-            c[tuple(int(ch) for ch in key)] = float(value)
+            c[tuple(map("0123".index, key))] = _json_number("coefficient", value)
         return cls(n, c)
 
 

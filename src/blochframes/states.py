@@ -4,21 +4,23 @@ closed-form separability bounds.
 Every named family except custom_matrix is a point (N, eps) of one set, the
 mixtures rho = (1 - eps)/2^N identity + eps |cat_N><cat_N| with the N-qubit cat
 state (|0...0> + |1...1>)/sqrt(2).  A family may fix N (werner: 2, eps_ghz: 3)
-or eps (maximally_mixed: 0, cat: 1); the spec supplies the rest.  It is
-separable exactly up to eps_N = bound_duer(N), where cat_ensemble(N) proves it.
+or eps (maximally_mixed: 0, cat: 1); the spec supplies the rest, and a supplied
+eps must lie in [0, 1] even where the family fixes it.  It is separable exactly up
+to eps_N = bound_duer(N), where cat_ensemble(N) proves it.  Numbers in state and
+ensemble JSON are JSON ints or floats, read by operators._json_number.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .operators import BlochVector, DenseOperator, _pauli_rows, _require_unit, validate_density
+from .operators import _json_number, _json_vector
 from .frames import Frame
 from .representations import CoefficientTable, PauliCoefficients, pauli_to_operator
 
@@ -44,11 +46,13 @@ def _axis(axis: int, sign: int) -> BlochVector:
     return _PLUS[axis] if sign > 0 else _MINUS[axis]
 
 
-def _json_number(name: str, value, kind: type = float):
-    """value as kind (int or float); a boolean, or a fraction where kind is int, is refused."""
-    if isinstance(value, bool) or (kind is int and not isinstance(value, numbers.Integral)):
-        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    return kind(value)
+def _matrix_entry(e) -> complex:
+    """A JSON matrix entry, a number or an [re, im] pair, as a complex number."""
+    if not isinstance(e, (list, tuple)):
+        return complex(_json_number("matrix entry", e))
+    if len(e) != 2:
+        raise ValueError(f"matrix entry must be a number or an [re, im] pair, got {e!r}")
+    return complex(_json_number("matrix entry", e[0]), _json_number("matrix entry", e[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,18 +71,13 @@ class StateSpec:
     def from_json(cls, data: dict) -> "StateSpec":
         if not isinstance(data, dict) or "family" not in data:
             raise ValueError('state JSON needs a "family" key')
-        matrix = None
-        if data.get("matrix") is not None:
-            rows = []
-            for row in data["matrix"]:
-                rows.append([complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e) for e in row])
-            matrix = np.array(rows)
         qubits, epsilon = data.get("n", data.get("qubits")), data.get("epsilon")
+        matrix = data.get("matrix")
         return cls(
             family=str(data["family"]),
             qubits=None if qubits is None else _json_number("qubit count", qubits, int),
             epsilon=None if epsilon is None else _json_number("epsilon", epsilon),
-            matrix=matrix,
+            matrix=None if matrix is None else np.array([[_matrix_entry(e) for e in r] for r in matrix]),
         )
 
     def to_json(self) -> dict:
@@ -98,23 +97,21 @@ def cat_state_vector(n: int) -> np.ndarray:
     return v
 
 
-def _require_epsilon(spec: StateSpec) -> float:
-    if spec.epsilon is None:
-        raise ValueError(f"family {spec.family!r} needs an epsilon")
-    if not 0.0 <= spec.epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {spec.epsilon}")
-    return spec.epsilon
-
-
 def build_state(spec: StateSpec) -> DenseOperator:
-    """Construct the density operator described by a StateSpec."""
+    """Construct the density operator described by a StateSpec; an n or a matrix
+    that contradicts the family is refused."""
     family = spec.family
+    # written so that a NaN epsilon fails it
+    if spec.epsilon is not None and not 0.0 <= spec.epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {spec.epsilon}")
     if family == "custom_matrix":
         if spec.matrix is None:
             raise ValueError("custom_matrix needs an explicit matrix")
         m = np.asarray(spec.matrix)
         n = int(round(math.log2(m.shape[0]))) if m.ndim == 2 else 0
         op = DenseOperator(m, max(n, 1))
+        if spec.qubits not in (None, op.qubits):
+            raise ValueError(f"n is {spec.qubits}, but the custom matrix is {op.dim}x{op.dim}")
         check = validate_density(op)
         if not check.passed:
             raise ValueError(f"custom matrix is not a density operator: {check.reason}")
@@ -122,6 +119,8 @@ def build_state(spec: StateSpec) -> DenseOperator:
         return DenseOperator(0.5 * (m + m.conj().T), op.qubits, hermitian=True)
     if family not in _MIXTURES:
         raise ValueError(f"unknown state family {spec.family!r}; options: {FAMILIES}")
+    if spec.matrix is not None:
+        raise ValueError(f"only custom_matrix takes a matrix, not {family}")
     n, eps = _MIXTURES[family]
     if n is None:
         n = spec.qubits
@@ -129,8 +128,9 @@ def build_state(spec: StateSpec) -> DenseOperator:
             raise ValueError(f"{family} needs a positive qubit count")
     elif spec.qubits not in (None, n):
         raise ValueError(f"the {family} family is defined on exactly {n} qubits")
+    eps = spec.epsilon if eps is None else eps
     if eps is None:
-        eps = _require_epsilon(spec)
+        raise ValueError(f"family {spec.family!r} needs an epsilon")
     v = cat_state_vector(n)
     m = (1.0 - eps) * np.eye(2**n) / 2**n + eps * np.outer(v, v.conj())
     return DenseOperator(m, n, hermitian=True)
@@ -240,12 +240,8 @@ class ProductEnsemble:
         try:
             qubits = _json_number("qubit count", data["qubits"], int)
             terms = tuple(
-                EnsembleTerm(
-                    _json_number("probability", t["probability"]),
-                    tuple(BlochVector(*(_json_number("vector component", x) for x in v))
-                          for v in t["vectors"]),  # BlochVector takes exactly three
-                    str(t.get("label", "")),
-                )
+                (_json_number("probability", t["probability"]),
+                 [_json_vector("vector", v) for v in t["vectors"]], t.get("label", ""))
                 for t in data["terms"]
             )
         except (KeyError, TypeError, IndexError) as exc:

@@ -398,6 +398,23 @@ def _ensemble_json(qubits=2, probability=1.0, first=(0.0, 0.0, 1.0)) -> str:
     return json.dumps({"qubits": qubits, "terms": [term]})
 
 
+def _frame_json(kind: str, first) -> str:
+    """A spanning custom frame (the octahedron) or a reflected frame (two octant
+    seeds) whose first vector is replaced; the rest read as given."""
+    rest = {"custom": [[-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+            "reflected": [[0.48, 0.6, 0.64]]}[kind]
+    return json.dumps({"kind": kind, "vectors": [first, *rest]})
+
+
+def _coeffs_json(n=2, value=0.5) -> str:
+    return json.dumps({"n": n, "coeffs": {"00": 1.0, "11": value, "22": -0.5, "33": 0.5}})
+
+
+def _matrix_state(first) -> str:
+    """The one-qubit state |0><0| as a custom matrix, with its first entry replaced."""
+    return json.dumps({"family": "custom_matrix", "matrix": [[first, 0], [0, 0]]})
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -426,6 +443,31 @@ def _ensemble_json(qubits=2, probability=1.0, first=(0.0, 0.0, 1.0)) -> str:
          "--file"),
         (["verify-ensemble", "--state", _WERNER, "--file", _ensemble_json(first=[0.0, 0.0, True])], "--file"),
         (["verify-ensemble", "--state", _WERNER, "--file", _ensemble_json(first=[0.0, 0.0, 1.0, 7.0])],
+         "--file"),
+        # a number is a JSON number: never a string, and never a boolean
+        (["coeffs", "--state", '{"family":"werner","epsilon":"0.5"}'], "--state"),
+        # an integer beyond the float range does not read as a number either
+        (["coeffs", "--state", '{"family":"werner","epsilon":1%s}' % ("0" * 400)], "--state"),
+        (["coeffs", "--state", _WERNER, "--frames", _frame_json("custom", ["1", 0, 0])], "--frames"),
+        (["coeffs", "--state", _WERNER, "--frames", _frame_json("custom", [True, 0, 0])], "--frames"),
+        (["coeffs", "--state", _WERNER, "--frames", _frame_json("custom", [1, 0, 0, 7])], "--frames"),
+        (["coeffs", "--state", _WERNER, "--frames", _frame_json("reflected", ["0.48", 0.6, 0.64])],
+         "--frames"),
+        # unit within 1e-12 and inside the octant: only the boolean is wrong
+        (["coeffs", "--state", _WERNER, "--frames", _frame_json("reflected", [True, 1e-7, 1e-7])],
+         "--frames"),
+        (["coeffs", "--state", _WERNER, "--frames", _frame_json("reflected", [0.48, 0.6, 0.64, 7])],
+         "--frames"),
+        (["witness", "--name", "werner", "--coeffs", _coeffs_json(n="2")], "--coeffs"),
+        (["witness", "--name", "werner", "--coeffs", _coeffs_json(n=2.7)], "--coeffs"),
+        (["witness", "--name", "werner", "--coeffs", '{"n": true, "coeffs": {"0": 1.0}}'], "--coeffs"),
+        (["witness", "--name", "werner", "--coeffs", _coeffs_json(value="0.9")], "--coeffs"),
+        (["witness", "--name", "werner", "--coeffs", _coeffs_json(value=True)], "--coeffs"),
+        (["coeffs", "--state", _matrix_state("1")], "--state"),
+        (["coeffs", "--state", _matrix_state([True, 0])], "--state"),
+        (["coeffs", "--state", _matrix_state([1, 0, 5])], "--state"),
+        (["verify-ensemble", "--state", _WERNER, "--file", _ensemble_json(probability="1")], "--file"),
+        (["verify-ensemble", "--state", _WERNER, "--file", _ensemble_json(first=[0.0, "0", 1.0])],
          "--file"),
     ],
 )
@@ -524,19 +566,34 @@ _NAN_STATE = (
 )
 
 
+# state argument -> the domain error it must report
+_DOMAIN_ERRORS = {
+    _NAN_STATE: "non-finite entries",
+    # a supplied epsilon is checked even where the family fixes it
+    '{"family": "maximally_mixed", "n": 1, "epsilon": 7}': "epsilon must lie in [0, 1], got 7",
+    '{"family": "cat", "n": 2, "epsilon": -3}': "epsilon must lie in [0, 1], got -3",
+    # and an n or a matrix that contradicts the family is refused, not dropped
+    '{"family": "custom_matrix", "n": 3, "matrix": [[0.5, 0], [0, 0.5]]}':
+        "n is 3, but the custom matrix is 2x2",
+    '{"family": "werner", "epsilon": 0.2, "matrix": [[0.5, 0], [0, 0.5]]}':
+        "only custom_matrix takes a matrix",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["ppt", "--state", _NAN_STATE],
         ["--format", "json", "coeffs", "--state", _NAN_STATE],
         ["witness", "--name", "werner", "--state", _NAN_STATE],
+        *(["--format", "json", "coeffs", "--state", state] for state in list(_DOMAIN_ERRORS)[1:]),
     ],
 )
 def test_nan_state_is_domain_error(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 3
     assert out == ""
-    assert "non-finite entries" in err
+    assert _DOMAIN_ERRORS[argv[-1]] in err
 
 
 def test_nan_coefficient_is_input_error(capsys):

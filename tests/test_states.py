@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,15 +18,20 @@ from blochframes import (
     build_state,
     cat_ensemble,
     cat_state_vector,
+    PauliCoefficients,
     dilute_with_mixed,
     ensemble_to_table,
+    frame_from_json,
+    frame_to_json,
     ghz_ensemble,
     pauli_coefficients,
     tensor,
     validate_density,
     werner_ensemble,
 )
+from blochframes.frames import FRAME_KINDS
 from blochframes.operators import RECONSTRUCTION_TOL
+from conftest import random_density
 
 
 def test_cat_state_vector():
@@ -97,6 +103,9 @@ def test_family_table_matches_formula():
         (StateSpec("cat", qubits=0), "cat needs a positive qubit count"),
         (StateSpec("eps_cat", qubits=2), "needs an epsilon"),
         (StateSpec("bell", qubits=2, epsilon=0.1), "unknown state family"),
+        (StateSpec("maximally_mixed", qubits=1, epsilon=math.nan), "epsilon must lie in"),
+        (StateSpec("custom_matrix", qubits=2, matrix=np.eye(2) / 2), "n is 2, but the custom matrix"),
+        (StateSpec("eps_cat", qubits=1, epsilon=0.1, matrix=np.eye(2) / 2), "only custom_matrix"),
     ]:
         with pytest.raises(ValueError, match=message):
             build_state(spec)
@@ -410,3 +419,31 @@ def test_custom_matrix_rejects_nan():
     assert check.reason == "non-finite entries"
     with pytest.raises(ValueError, match="non-finite entries"):
         build_state(StateSpec("custom_matrix", matrix=m))
+
+
+def test_json_readers_read_their_writers_back_bit_identically(rng):
+    # through JSON text, as the CLI reads them; repr tells -0.0 from 0.0
+    def again(obj):
+        return json.loads(json.dumps(obj))
+
+    rho = random_density(rng, 2).matrix
+    for spec in (StateSpec("eps_cat", qubits=4, epsilon=0.1),
+                 StateSpec("custom_matrix", qubits=2, epsilon=0.3, matrix=rho)):
+        back = StateSpec.from_json(again(spec.to_json()))
+        assert (back.family, back.qubits, back.epsilon) == (spec.family, spec.qubits, spec.epsilon)
+        assert repr(back.matrix) == repr(spec.matrix)
+    e = cat_ensemble(4)
+    assert repr(ProductEnsemble.from_json(again(e.to_json())).terms) == repr(e.terms)
+    seeds, custom = (
+        [BlochVector.from_array(v / np.linalg.norm(v)) for v in raw]
+        for raw in (rng.uniform(0.1, 1.0, size=(2, 3)), rng.normal(size=(6, 3)))
+    )
+    for kind in FRAME_KINDS:
+        f = build_frame(kind, {"reflected": seeds, "custom": custom}.get(kind))
+        g = frame_from_json(again(frame_to_json(f)))
+        assert g.kind == f.kind and repr(g.vectors) == repr(f.vectors)
+    # the writer lists nonzero entries only, so a -0.0 entry reads back as 0.0
+    c = pauli_coefficients(DenseOperator(random_density(rng, 3).matrix, 3, hermitian=True))
+    back = PauliCoefficients.from_dict(again(c.to_dict()))
+    assert back.qubits == c.qubits and np.array_equal(back.coeffs, c.coeffs)
+    assert back.to_dict() == c.to_dict()

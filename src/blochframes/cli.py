@@ -8,11 +8,16 @@ Subcommands:
   witness          evaluate a correlation witness (werner: 2 qubits, ghz: N >= 3)
   ppt              smallest eigenvalue of the partial transpose (2 qubits)
 
-Exit codes: 0 success, 1 stdout closed by its reader, 2 usage error or an
+The global --tol is the slack on the verdicts of verify-ensemble (default
+RECONSTRUCTION_TOL), ppt and witness (default SIGN_TOL), one table in this
+module; it must be a finite number >= 0, and the other subcommands refuse it.
+
+Exit codes: 0 success, 1 stdout closed by its reader, 2 usage error (a --tol
+that is not finite and >= 0, or one given where no verdict reads it) or an
 argument that does not read as its object (--state, --frames, --file,
 --coeffs), such as a string or a boolean where a number belongs, 3 domain error
-(such as an epsilon outside [0, 1] or an n its family does not take), 4
-verification failure.
+(such as an epsilon outside [0, 1], an n its family does not take, or a state
+too large to build), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -51,6 +57,23 @@ EXIT_VERIFY = 4
 
 class _InputError(Exception):
     """Unreadable or malformed input, or a usage error; maps to the usage exit code."""
+
+
+# subcommand -> default --tol, the slack on the verdict it grades; no other reads --tol
+_TOLERANCES = {"verify-ensemble": RECONSTRUCTION_TOL, "ppt": SIGN_TOL, "witness": SIGN_TOL}
+
+
+def _resolve_tol(command: str, tol: float | None) -> float | None:
+    """The tolerance in force for command: its default from _TOLERANCES, or the
+    given --tol, which must be finite and >= 0 and offered to a command that reads it."""
+    if tol is None:
+        return _TOLERANCES.get(command)
+    if command not in _TOLERANCES:
+        raise _InputError(f"--tol does not apply to {command}, only to {', '.join(_TOLERANCES)}")
+    # written so that NaN fails it
+    if not 0.0 <= tol < math.inf:
+        raise _InputError(f"--tol must be a finite number >= 0, got {tol}")
+    return tol
 
 
 def _read(flag: str, text: str, build):
@@ -171,15 +194,14 @@ def cmd_verify_ensemble(args) -> int:
     if target.qubits != ensemble.qubits:
         raise ValueError(f"ensemble acts on {ensemble.qubits} qubits, target on {target.qubits}")
     deviation = _deviation(ensemble.mixture(), target)
-    tol = args.tol if args.tol is not None else RECONSTRUCTION_TOL
-    passed = deviation <= tol
+    passed = deviation <= args.tol
     _emit(
         args,
         {
             "ensemble": args.name or args.file,
             "terms": len(ensemble.terms),
             "deviation": deviation,
-            "tol": tol,
+            "tol": args.tol,
             "verdict": "match" if passed else "mismatch",
         },
     )
@@ -227,7 +249,7 @@ def _coeffs_for_witness(args) -> PauliCoefficients:
 
 def cmd_witness(args) -> int:
     c = _coeffs_for_witness(args)
-    report = (witness_werner if args.name == "werner" else witness_ghz)(c)
+    report = (witness_werner if args.name == "werner" else witness_ghz)(c, args.tol)
     _emit(args, report.to_json())
     return EXIT_OK
 
@@ -235,7 +257,6 @@ def cmd_witness(args) -> int:
 def cmd_ppt(args) -> int:
     rho = build_state(_read("--state", args.state, StateSpec.from_json))
     value = ppt_min_eigenvalue(rho)
-    tol = args.tol if args.tol is not None else SIGN_TOL
     _emit(
         args,
         {
@@ -243,7 +264,7 @@ def cmd_ppt(args) -> int:
             # both sides of a two-qubit partial transpose have the same spectrum
             "transposed_side": 1,
             # PPT is necessary and sufficient for two qubits, the only case ppt accepts
-            "verdict": "nonseparable" if value < -tol else "separable",
+            "verdict": "nonseparable" if value < -args.tol else "separable",
         },
     )
     return EXIT_OK
@@ -258,7 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Product-frame expansions of multiqubit states and separability checks.",
     )
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-    parser.add_argument("--tol", type=float, default=None, help="override the default tolerance")
+    parser.add_argument(
+        "--tol", type=float, default=None,
+        help="slack on the verdict of "
+        + ", ".join(f"{command} (default {tol:g})" for command, tol in _TOLERANCES.items()),
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="closed-form separability thresholds per qubit count")
@@ -319,6 +344,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        args.tol = _resolve_tol(args.command, args.tol)
         code = args.func(args)
         sys.stdout.flush()  # inside the try, so a reader that left is seen here
         return code

@@ -12,7 +12,8 @@ with M = A (A^T A)^{-1}.  The duals satisfy the resolutions of identity
 so any single-qubit operator X expands as X = sum_a P_a tr(Q_a X).
 Vector sets whose centroid vanishes and whose second moments average to
 delta_jk/3 ("balanced" sets below) have duals in the closed form
-Q_a = (1/K)(1 + 3 sigma.n_a).  frame_from_json reads each vector as three JSON numbers.
+Q_a = (1/K)(1 + 3 sigma.n_a).  frame_from_json reads each vector as three JSON numbers;
+the named kinds (cardinal6 and the polyhedra) fix their vectors and take none.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .operators import BlochVector, DenseOperator, _pauli_matrices, _pauli_rows,
 from .operators import _json_vector
 
 GRAM_RANK_CUTOFF = 1e-10
+BALANCE_TOL = 1e-10  # centroid and moment residual up to which frame_check passes
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 POLYHEDRON_SIZES = {
@@ -39,7 +41,9 @@ POLYHEDRON_SIZES = {
     "dodecahedron": 20,
 }
 
-FRAME_KINDS = ("cardinal6", *POLYHEDRON_SIZES, "reflected", "custom")
+# the kinds whose vectors are fixed, so that they take none
+_NAMED_KINDS = ("cardinal6", *POLYHEDRON_SIZES)
+FRAME_KINDS = (*_NAMED_KINDS, "reflected", "custom")
 
 
 class NonSpanningFrameError(ValueError):
@@ -52,12 +56,12 @@ class FrameCheck(NamedTuple):
     moment_residual: float
 
 
-def frame_check(vectors: Sequence[BlochVector], tol: float = 1e-10) -> FrameCheck:
+def frame_check(vectors: Sequence[BlochVector]) -> FrameCheck:
     """Test the two balance conditions a vector set needs for closed-form duals.
 
     centroid_residual is |mean of the vectors| and moment_residual is the
     Frobenius distance between the mean outer-product matrix and I/3.  Both
-    must be at most tol to pass.
+    must be at most BALANCE_TOL to pass.
     """
     if not vectors:
         raise ValueError("frame_check requires at least one vector")
@@ -65,7 +69,7 @@ def frame_check(vectors: Sequence[BlochVector], tol: float = 1e-10) -> FrameChec
     centroid = float(np.linalg.norm(arr.mean(axis=0)))
     moments = arr.T @ arr / len(vectors)
     moment = float(np.linalg.norm(moments - np.eye(3) / 3.0))
-    return FrameCheck(centroid <= tol and moment <= tol, centroid, moment)
+    return FrameCheck(centroid <= BALANCE_TOL and moment <= BALANCE_TOL, centroid, moment)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,9 +233,12 @@ def build_frame(kind: str, vectors: Sequence[BlochVector] | None = None) -> Fram
 
     "cardinal6" is the octahedron vertex set in the order +x,-x,+y,-y,+z,-z.
     For "reflected" the vectors argument holds the octant seeds.  Named
-    frames are built once per process and the same object is returned.
+    frames take no vectors; each is built once per process and the same
+    object is returned.
     """
-    if kind == "cardinal6" or kind in POLYHEDRON_SIZES:
+    if kind in _NAMED_KINDS:
+        if vectors is not None:
+            raise ValueError(f"the {kind} frame is fixed and takes no vectors")
         return _named_frame(kind)
     if kind == "reflected":
         if not vectors:
@@ -256,8 +263,8 @@ def cardinal6() -> Frame:
 
 
 def frame_from_json(obj: object) -> Frame:
-    """Frame from {"kind": tag, "vectors": [[x,y,z], ...]} (vectors optional
-    for named polyhedra).  A bare string is accepted as a kind shorthand."""
+    """Frame from {"kind": tag, "vectors": [[x,y,z], ...]}, where only custom and
+    reflected kinds take vectors.  A bare string is accepted as a kind shorthand."""
     if isinstance(obj, str):
         return build_frame(obj)
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -269,8 +276,11 @@ def frame_from_json(obj: object) -> Frame:
 
 
 def frame_to_json(frame: Frame) -> dict:
-    """Inverse of frame_from_json.  Reflected frames serialize their seeds
-    (the all-positive vectors), matching what build_frame expects back."""
+    """Inverse of frame_from_json.  Named frames serialize their kind alone, and
+    reflected frames their seeds (the all-positive vectors), matching what
+    build_frame expects back."""
+    if frame.kind in _NAMED_KINDS:
+        return {"kind": frame.kind}
     vectors = frame.vectors
     if frame.kind == "reflected":
         vectors = tuple(v for v in vectors if min(v) > 0.0)

@@ -18,6 +18,9 @@ DEFAULT_VALIDATION_TOL = 1e-10
 UNIT_NORM_TOL = 1e-12  # |norm - 1| up to which a Bloch vector counts as unit
 RECONSTRUCTION_TOL = 1e-10  # deviation of a reconstruction or mixture from its target
 SIGN_TOL = 1e-12  # slack on the sign of a weight, eigenvalue or witness value
+# the most entries a 4^N-entry array (a 2^N x 2^N operator, a Pauli tensor) may hold:
+# N <= 10 qubits, 16 MiB of complex entries
+MAX_ENTRIES = 4**10
 # what _json_number reads: the types json decodes numbers to, and numpy's
 _INTEGERS, _REALS = (int, np.integer), (int, float, np.integer, np.floating)
 
@@ -71,6 +74,16 @@ def _json_vector(name: str, value) -> BlochVector:
     except (TypeError, ValueError):
         raise ValueError(f"{name} must hold exactly three numbers, got {value!r}") from None
     return BlochVector(*(_json_number(f"{name} component", c) for c in (x, y, z)))
+
+
+def _require_entries(what: str, qubits: int) -> None:
+    """Refuse a qubit count whose 4^N-entry array would exceed MAX_ENTRIES, before
+    anything is allocated; the exponent is capped so a huge count costs nothing."""
+    if 4 ** min(qubits, 64) > MAX_ENTRIES:
+        raise ValueError(
+            f"{what} on {qubits} qubits would hold 4^{qubits} entries, "
+            f"above the limit of {MAX_ENTRIES} entries"
+        )
 
 
 def _require_unit(vectors: BlochVector | Sequence[BlochVector]) -> np.ndarray:
@@ -197,14 +210,16 @@ def _deviation(a: DenseOperator, b: DenseOperator) -> float:
     return float(np.linalg.norm(a.matrix - b.matrix))
 
 
-def hermitian_eigenvalues(a: DenseOperator, tol: float = DEFAULT_VALIDATION_TOL) -> np.ndarray:
+def hermitian_eigenvalues(a: DenseOperator) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian operator.
 
-    Raises if the input fails the Hermiticity check at the given tolerance.
+    Raises if the input fails the Hermiticity check at DEFAULT_VALIDATION_TOL.
     """
     err = a.hermiticity_error()
-    if not err <= tol:
-        raise ValueError(f"operator is not Hermitian within {tol:g} (|A - A^dag| = {err:g})")
+    if not err <= DEFAULT_VALIDATION_TOL:
+        raise ValueError(
+            f"operator is not Hermitian within {DEFAULT_VALIDATION_TOL:g} (|A - A^dag| = {err:g})"
+        )
     sym = 0.5 * (a.matrix + a.matrix.conj().T)
     return np.linalg.eigvalsh(sym)
 
@@ -217,12 +232,14 @@ class DensityCheck(NamedTuple):
     reason: str | None
 
 
-def validate_density(a: DenseOperator, tol: float = DEFAULT_VALIDATION_TOL) -> DensityCheck:
+def validate_density(a: DenseOperator) -> DensityCheck:
     """Check the three density-operator properties and report what failed.
 
     Passes iff every entry is finite, the matrix is Hermitian within tol, has
-    unit trace within tol, and its smallest eigenvalue is at least -tol.
+    unit trace within tol, and its smallest eigenvalue is at least -tol, where
+    tol is DEFAULT_VALIDATION_TOL.
     """
+    tol = DEFAULT_VALIDATION_TOL
     # a NaN entry would pass every comparison below, since each one is False
     if not np.isfinite(a.matrix).all():
         return DensityCheck(False, math.nan, math.nan, math.nan, "non-finite entries")

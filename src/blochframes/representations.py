@@ -26,12 +26,15 @@ from .operators import (
     DenseOperator,
     _json_number,
     _pauli_rows,
+    _require_entries,
     _require_unit,
     sigma_stack,
 )
 from .frames import Frame, polyhedron_vectors
 
 FOUR_PI = 4.0 * math.pi
+# worst monomial-moment error up to which a quadrature counts as exact to a degree
+QUADRATURE_TOL = 1e-8
 # rows per stream.write in CoefficientTable.write_csv
 _CSV_BLOCK_ROWS = 1 << 15
 
@@ -59,6 +62,8 @@ class PauliCoefficients:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.qubits < 1:
+            raise ValueError("qubit count must be at least 1")
         c = np.array(self.coeffs, dtype=float)
         if c.shape != (4,) * self.qubits:
             raise ValueError(f"coefficient tensor must have shape {(4,) * self.qubits}")
@@ -92,6 +97,7 @@ class PauliCoefficients:
     @classmethod
     def from_dict(cls, data: dict) -> "PauliCoefficients":
         n = _json_number("qubit count", data["n"], int)
+        _require_entries("Pauli coefficients", n)
         c = np.zeros((4,) * n)
         for key, value in dict(data.get("coeffs", {})).items():
             if len(key) != n or any(ch not in "0123" for ch in key):
@@ -100,14 +106,14 @@ class PauliCoefficients:
         return cls(n, c)
 
 
-def pauli_coefficients(rho: DenseOperator, tol: float = DEFAULT_VALIDATION_TOL) -> PauliCoefficients:
-    """Pauli coefficient tensor of a Hermitian operator.
+def pauli_coefficients(rho: DenseOperator) -> PauliCoefficients:
+    """Pauli coefficient tensor of an operator Hermitian within DEFAULT_VALIDATION_TOL.
 
     Contracts each qubit of rho with the sigma stack, so the cost is
     O(N 4^N) rather than one trace per Pauli string.
     """
     err = rho.hermiticity_error()
-    if not err <= tol:
+    if not err <= DEFAULT_VALIDATION_TOL:
         raise ValueError(f"pauli_coefficients needs a Hermitian input (|A - A^dag| = {err:g})")
     n = rho.qubits
     t = rho.matrix.reshape((2,) * (2 * n))
@@ -287,8 +293,8 @@ class SphereQuadrature:
         self._residuals[degree] = residual
         return residual
 
-    def is_exact_to_degree(self, degree: int, tol: float = 1e-8) -> bool:
-        return self.degree_residual(degree) <= tol
+    def is_exact_to_degree(self, degree: int) -> bool:
+        return self.degree_residual(degree) <= QUADRATURE_TOL
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,6 +6,8 @@ states.  Refutations come from two independent routes, a correlation witness
 evaluated on the Pauli coefficients and (for two qubits) the partial
 transpose criterion.  witness_ghz reads the x/y strings cat_ensemble is built
 from, and refutes the eps-cat family above the sharp bound eps_N at every N >= 3.
+certify grades with the fixed RECONSTRUCTION_TOL and SIGN_TOL; a witness takes
+its slack as tol, SIGN_TOL unless a caller such as the CLI's --tol sets another.
 """
 
 from __future__ import annotations
@@ -38,20 +40,16 @@ class SeparabilityCertificate:
         }
 
 
-def certify(
-    rho: DenseOperator,
-    representation,
-    recon_tol: float = RECONSTRUCTION_TOL,
-    coeff_tol: float = SIGN_TOL,
-) -> SeparabilityCertificate:
+def certify(rho: DenseOperator, representation) -> SeparabilityCertificate:
     """Check a claimed product representation of rho and grade it.
 
     `representation` is a CoefficientTable or a ProductEnsemble
     (anything with .mixture() and a frame-indexed table is accepted via
-    duck typing).  A representation that fails to reconstruct rho raises
-    CertificateError; one that reconstructs it earns "separable" when all
-    its weights clear -coeff_tol and "undetermined" otherwise, since a
-    negative entry in one expansion never rules out a positive one elsewhere.
+    duck typing).  A representation that fails to reconstruct rho within
+    RECONSTRUCTION_TOL raises CertificateError; one that reconstructs it earns
+    "separable" when all its weights clear -SIGN_TOL and "undetermined"
+    otherwise, since a negative entry in one expansion never rules out a
+    positive one elsewhere.
     """
     if hasattr(representation, "mixture"):
         recon = representation.mixture()
@@ -61,7 +59,7 @@ def certify(
         recon = reconstruct_discrete(table)
     err = _deviation(recon, rho)
     # written so that a NaN deviation fails too
-    if not err <= recon_tol:
+    if not err <= RECONSTRUCTION_TOL:
         raise CertificateError(
             f"representation reconstructs a different state (deviation {err:.3e})"
         )
@@ -69,7 +67,7 @@ def certify(
         minimum = min(p for p, _, _ in representation.terms)
     else:
         minimum = table.min_entry()
-    verdict = "separable" if minimum >= -coeff_tol else "undetermined"
+    verdict = "separable" if minimum >= -SIGN_TOL else "undetermined"
     return SeparabilityCertificate(
         representation=table,
         minimum_coefficient=float(minimum),
@@ -99,22 +97,24 @@ class WitnessReport:
         }
 
 
-def _report(witness: str, value: float, detail: dict) -> WitnessReport:
-    """Grade a witness value against 1, the most any separable state reaches."""
-    verdict = "nonseparable" if value > 1.0 + SIGN_TOL else "inconclusive"
+def _report(witness: str, value: float, detail: dict, tol: float) -> WitnessReport:
+    """Grade a witness value against 1, the most any separable state reaches,
+    with tol of slack."""
+    verdict = "nonseparable" if value > 1.0 + tol else "inconclusive"
     return WitnessReport(witness, float(value), 1.0, verdict, detail)
 
 
-def witness_werner(c: PauliCoefficients) -> WitnessReport:
+def witness_werner(c: PauliCoefficients, tol: float = SIGN_TOL) -> WitnessReport:
     """Sum of |c_jj| over the three axes; separable two-qubit states stay at
-    or below 1, the eps-Werner family reaches 3 eps."""
+    or below 1, the eps-Werner family reaches 3 eps.  "nonseparable" needs a
+    value above 1 + tol."""
     if c.qubits != 2:
         raise ValueError("witness_werner needs two-qubit coefficients")
     parts = {f"{j}{j}": float(c.coeffs[j, j]) for j in (1, 2, 3)}
-    return _report("werner", sum(abs(v) for v in parts.values()), parts)
+    return _report("werner", sum(abs(v) for v in parts.values()), parts, tol)
 
 
-def witness_ghz(c: PauliCoefficients) -> WitnessReport:
+def witness_ghz(c: PauliCoefficients, tol: float = SIGN_TOL) -> WitnessReport:
     """|sum_s sign_s c_s + c_330...0| over the cat strings (s, sign_s) of
     states._cat_strings, against 1; at N = 3, |c_111 - c_122 - c_212 - c_221 + c_330|.
 
@@ -124,7 +124,8 @@ def witness_ghz(c: PauliCoefficients) -> WitnessReport:
     c_330...0 = cos t_1 cos t_2: by Cauchy-Schwarz |value| <= 1, and by
     convexity so on every mixture.  The eps-cat family reaches (1 + 2^(N-1))
     eps, past 1 exactly above eps_N = bound_duer(N).  On other correlation
-    structures it stays valid but can be far from tight.
+    structures it stays valid but can be far from tight.  "nonseparable" needs
+    a value above 1 + tol.
     """
     n = c.qubits
     if n < 3:
@@ -133,7 +134,7 @@ def witness_ghz(c: PauliCoefficients) -> WitnessReport:
     detail = {"".join(map(str, axes)): float(c.coeffs[axes]) for axes, _ in terms}
     # left to right, then the zz term: at N = 3 bit for bit the formula above
     value = abs(sum(sign * v for (_, sign), v in zip(terms, detail.values())))
-    return _report("ghz", value, detail)
+    return _report("ghz", value, detail, tol)
 
 
 # --- partial transpose -------------------------------------------------------
@@ -149,8 +150,9 @@ def partial_transpose(rho: DenseOperator, transposed_side: int = 1) -> np.ndarra
     return t.swapaxes(transposed_side, 2 + transposed_side).reshape(4, 4)
 
 
-def ppt_min_eigenvalue(rho: DenseOperator, transposed_side: int = 1) -> float:
+def ppt_min_eigenvalue(rho: DenseOperator) -> float:
     """Smallest eigenvalue of the partial transpose; negative refutes
-    separability, and for two qubits nonnegative confirms it."""
-    pt = partial_transpose(rho, transposed_side)
+    separability, and for two qubits nonnegative confirms it.  Both sides
+    have one spectrum, so the second qubit is transposed."""
+    pt = partial_transpose(rho, 1)
     return float(hermitian_eigenvalues(DenseOperator(pt, 2, hermitian=True))[0])

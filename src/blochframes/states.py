@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .operators import BlochVector, DenseOperator, _pauli_rows, _require_unit, validate_density
-from .operators import _json_number, _json_vector
+from .operators import _json_number, _json_vector, _require_entries
 from .frames import Frame
 from .representations import CoefficientTable, PauliCoefficients, pauli_to_operator
 
@@ -131,6 +131,7 @@ def build_state(spec: StateSpec) -> DenseOperator:
     eps = spec.epsilon if eps is None else eps
     if eps is None:
         raise ValueError(f"family {spec.family!r} needs an epsilon")
+    _require_entries(f"the {family} state", n)
     v = cat_state_vector(n)
     m = (1.0 - eps) * np.eye(2**n) / 2**n + eps * np.outer(v, v.conj())
     return DenseOperator(m, n, hermitian=True)

@@ -368,6 +368,44 @@ def test_ppt_honours_global_tol(capsys):
     assert json.loads(out)["verdict"] == "separable"
 
 
+_TOL_COMMANDS = {
+    "ppt": ["ppt", "--state", '{"family": "werner", "epsilon": 0.4}'],
+    "witness": ["witness", "--name", "werner", "--state", '{"family": "werner", "epsilon": 0.5}'],
+    "verify-ensemble": ["verify-ensemble", "--name", "werner"],
+    "bounds": ["bounds"],
+    "coeffs": ["coeffs", "--state", '{"family": "werner", "epsilon": 0.2}'],
+    "min-wcan": ["min-wcan", "--state", '{"family": "werner", "epsilon": 0.2}', "--grid", "8"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        # value 1.5, and 1.02 for the eps-cat state: within the slack, so not refuted
+        (["--tol", "5", *_TOL_COMMANDS["witness"]], "inconclusive"),
+        (["--tol", "0.05", "witness", "--name", "ghz", "--state",
+          '{"family": "eps_cat", "n": 5, "epsilon": 0.06}'], "inconclusive"),
+        # a tolerance is a finite number >= 0
+        *((["--tol", tol, *_TOL_COMMANDS[command]], None)
+          for tol in ("nan", "inf", "-1") for command in ("ppt", "witness", "verify-ensemble")),
+        # and only a subcommand that grades a verdict takes one
+        *((["--tol", "1e-3", *_TOL_COMMANDS[command]], None)
+          for command in ("bounds", "coeffs", "min-wcan")),
+    ],
+)
+def test_tol_grades_every_verdict(capsys, argv, verdict):
+    code, out, err = run_cli(capsys, argv)
+    if verdict is not None:
+        assert code == 0
+        assert json.loads(out)["verdict"] == verdict
+        return
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: --tol")
+
+
 def test_ppt_wrong_qubits_domain_error(capsys):
     code, out, err = run_cli(
         capsys, ["ppt", "--state", '{"family": "eps_ghz", "epsilon": 0.2}']
@@ -469,6 +507,12 @@ def _matrix_state(first) -> str:
         (["verify-ensemble", "--state", _WERNER, "--file", _ensemble_json(probability="1")], "--file"),
         (["verify-ensemble", "--state", _WERNER, "--file", _ensemble_json(first=[0.0, "0", 1.0])],
          "--file"),
+        # a named frame fixes its vectors and takes none
+        (["coeffs", "--state", _WERNER, "--frames", '{"kind": "cube", "vectors": [[0, 0, 1]]}'],
+         "--frames"),
+        # a qubit count is at least 1, and its 4^N coefficients must fit the entry budget
+        (["witness", "--name", "ghz", "--coeffs", '{"n": 0, "coeffs": {}}'], "--coeffs"),
+        (["witness", "--name", "ghz", "--coeffs", '{"n": 20, "coeffs": {}}'], "--coeffs"),
     ],
 )
 def test_unreadable_argument_is_input_error(capsys, argv, flag):
@@ -577,6 +621,8 @@ _DOMAIN_ERRORS = {
         "n is 3, but the custom matrix is 2x2",
     '{"family": "werner", "epsilon": 0.2, "matrix": [[0.5, 0], [0, 0.5]]}':
         "only custom_matrix takes a matrix",
+    # a state whose 4^N-entry operator would exceed the entry budget is refused unbuilt
+    '{"family": "eps_cat", "n": 40, "epsilon": 0.1}': "above the limit of",
 }
 
 

@@ -278,14 +278,15 @@ def test_sph_y_broadcasts_and_checks_every_m():
 
 def test_quadrature_residual_kept_per_degree():
     from blochframes import SphereQuadrature
+    from blochframes.representations import QUADRATURE_TOL
 
     shared = sphere_quadrature("octahedron")
     fresh = SphereQuadrature(shared.nodes, shared.weights)
     for degree in range(6):
         first = fresh.degree_residual(degree)
         assert fresh.degree_residual(degree) == first == shared.degree_residual(degree)
-    # the caller's tolerance still decides
+    # the kept residual, against the named tolerance, decides
+    for degree in range(6):
+        assert fresh.is_exact_to_degree(degree) == (fresh.degree_residual(degree) <= QUADRATURE_TOL)
     assert fresh.is_exact_to_degree(3)
-    assert not fresh.is_exact_to_degree(3, tol=-1.0)
     assert not fresh.is_exact_to_degree(4)
-    assert fresh.is_exact_to_degree(4, tol=10.0)

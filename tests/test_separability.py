@@ -213,7 +213,8 @@ def test_ppt_simple_states(rng):
     assert abs(ppt_min_eigenvalue(product)) < 1e-14
     # both sides give the same spectrum
     rho = random_density(rng, 2)
-    assert abs(ppt_min_eigenvalue(rho, 0) - ppt_min_eigenvalue(rho, 1)) < 1e-12
+    spectra = [np.linalg.eigvalsh(partial_transpose(rho, side)) for side in (0, 1)]
+    assert np.allclose(spectra[0], spectra[1], rtol=0.0, atol=1e-12)
 
 
 def test_soundness_werner_sweep():

@@ -3,6 +3,8 @@
 Everything here is a plain numpy computation on matrices of size 2^N x 2^N.
 Qubit ordering is big-endian throughout the package: the first tensor factor
 owns the most significant bit of the computational-basis index.
+"Hermitian" is decided once, by _hermitian, within DEFAULT_VALIDATION_TOL; a
+DenseOperator flagged hermitian=True holds an exactly Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-HERMITIAN_FLAG_ATOL = 1e-12
 DEFAULT_VALIDATION_TOL = 1e-10
 UNIT_NORM_TOL = 1e-12  # |norm - 1| up to which a Bloch vector counts as unit
 RECONSTRUCTION_TOL = 1e-10  # deviation of a reconstruction or mixture from its target
 SIGN_TOL = 1e-12  # slack on the sign of a weight, eigenvalue or witness value
 # the most entries a 4^N-entry array (a 2^N x 2^N operator, a Pauli tensor) may hold:
-# N <= 10 qubits, 16 MiB of complex entries
+# N <= 10 qubits, 16 MiB of complex entries; a float array may hold as many bytes
 MAX_ENTRIES = 4**10
 # what _json_number reads: the types json decodes numbers to, and numpy's
 _INTEGERS, _REALS = (int, np.integer), (int, float, np.integer, np.floating)
@@ -76,14 +77,26 @@ def _json_vector(name: str, value) -> BlochVector:
     return BlochVector(*(_json_number(f"{name} component", c) for c in (x, y, z)))
 
 
-def _require_entries(what: str, qubits: int) -> None:
-    """Refuse a qubit count whose 4^N-entry array would exceed MAX_ENTRIES, before
-    anything is allocated; the exponent is capped so a huge count costs nothing."""
-    if 4 ** min(qubits, 64) > MAX_ENTRIES:
+def _require_entries(what: str, entries: int, dtype: type = complex) -> None:
+    """Refuse an array of that many entries of dtype before it is allocated: it may
+    take the bytes of MAX_ENTRIES complex entries, so 2 MAX_ENTRIES floats."""
+    limit = MAX_ENTRIES * np.dtype(complex).itemsize // np.dtype(dtype).itemsize
+    if entries > limit:
+        raise ValueError(f"{what} is above the limit of {limit} entries")
+
+
+def _hermitian(m: np.ndarray, what: str = "operator") -> np.ndarray:
+    """m if m = m^dag exactly, else (m + m^dag)/2; raises unless max |m - m^dag| <=
+    DEFAULT_VALIDATION_TOL, written so that a NaN entry fails."""
+    h = m.conj().T
+    if np.array_equal(m, h):
+        return m
+    err = float(np.max(np.abs(m - h)))
+    if not err <= DEFAULT_VALIDATION_TOL:
         raise ValueError(
-            f"{what} on {qubits} qubits would hold 4^{qubits} entries, "
-            f"above the limit of {MAX_ENTRIES} entries"
+            f"{what} is not Hermitian within {DEFAULT_VALIDATION_TOL:g} (|A - A^dag| = {err:g})"
         )
+    return 0.5 * (m + h)
 
 
 def _require_unit(vectors: BlochVector | Sequence[BlochVector]) -> np.ndarray:
@@ -102,7 +115,9 @@ class DenseOperator:
     """A 2^N x 2^N complex matrix together with its declared qubit count.
 
     The matrix is copied on construction and frozen.  Setting ``hermitian=True``
-    asserts Hermiticity within 1e-12 entrywise and raises otherwise.
+    asserts Hermiticity within DEFAULT_VALIDATION_TOL entrywise, raises otherwise,
+    and stores an exactly Hermitian matrix: the input itself if it already is one,
+    its Hermitian part (A + A^dag)/2 if not.
     """
 
     matrix: np.ndarray
@@ -120,10 +135,7 @@ class DenseOperator:
                 f"matrix dimension {m.shape[0]} does not match 2^{self.qubits}"
             )
         if self.hermitian:
-            err = float(np.max(np.abs(m - m.conj().T)))
-            # written so that a NaN entry fails the check
-            if not err <= HERMITIAN_FLAG_ATOL:
-                raise ValueError(f"operator flagged Hermitian but |A - A^dag| = {err:g}")
+            m = _hermitian(m, "operator flagged Hermitian")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -211,17 +223,9 @@ def _deviation(a: DenseOperator, b: DenseOperator) -> float:
 
 
 def hermitian_eigenvalues(a: DenseOperator) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian operator.
-
-    Raises if the input fails the Hermiticity check at DEFAULT_VALIDATION_TOL.
-    """
-    err = a.hermiticity_error()
-    if not err <= DEFAULT_VALIDATION_TOL:
-        raise ValueError(
-            f"operator is not Hermitian within {DEFAULT_VALIDATION_TOL:g} (|A - A^dag| = {err:g})"
-        )
-    sym = 0.5 * (a.matrix + a.matrix.conj().T)
-    return np.linalg.eigvalsh(sym)
+    """Ascending real eigenvalues of an operator Hermitian within DEFAULT_VALIDATION_TOL;
+    raises for any other."""
+    return np.linalg.eigvalsh(_hermitian(a.matrix))
 
 
 class DensityCheck(NamedTuple):

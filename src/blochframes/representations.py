@@ -21,9 +21,9 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .operators import (
-    DEFAULT_VALIDATION_TOL,
     BlochVector,
     DenseOperator,
+    _hermitian,
     _json_number,
     _pauli_rows,
     _require_entries,
@@ -97,7 +97,7 @@ class PauliCoefficients:
     @classmethod
     def from_dict(cls, data: dict) -> "PauliCoefficients":
         n = _json_number("qubit count", data["n"], int)
-        _require_entries("Pauli coefficients", n)
+        _require_entries(f"Pauli coefficients on {n} qubits (4^{n} entries)", 4 ** min(n, 64))
         c = np.zeros((4,) * n)
         for key, value in dict(data.get("coeffs", {})).items():
             if len(key) != n or any(ch not in "0123" for ch in key):
@@ -112,33 +112,27 @@ def pauli_coefficients(rho: DenseOperator) -> PauliCoefficients:
     Contracts each qubit of rho with the sigma stack, so the cost is
     O(N 4^N) rather than one trace per Pauli string.
     """
-    err = rho.hermiticity_error()
-    if not err <= DEFAULT_VALIDATION_TOL:
-        raise ValueError(f"pauli_coefficients needs a Hermitian input (|A - A^dag| = {err:g})")
     n = rho.qubits
-    t = rho.matrix.reshape((2,) * (2 * n))
+    t = _hermitian(rho.matrix, "pauli_coefficients input").reshape((2,) * (2 * n))
     # bring axes to (i_1, j_1, i_2, j_2, ...) and merge each pair into one
     perm = [ax for k in range(n) for ax in (k, n + k)]
     t = np.transpose(t, perm).reshape((4,) * n)
     # tr picks up sigma[j, i], so row b of the matrix is sigma_b transposed
     sig = sigma_stack().transpose(0, 2, 1).reshape(4, 4)
-    t = _mode_contract(t, [sig] * n)
-    imag = float(np.max(np.abs(t.imag)))
-    if imag > 1e-12:
-        raise ValueError(f"coefficients came out complex (residual {imag:g})")
-    return PauliCoefficients(n, t.real)
+    # an exactly Hermitian input leaves only rounding in the imaginary part
+    return PauliCoefficients(n, _mode_contract(t, [sig] * n).real)
 
 
 def pauli_to_operator(c: PauliCoefficients) -> DenseOperator:
-    """Inverse of pauli_coefficients: rho = 2^-N sum c sigma x ... x sigma, symmetrised
-    so it is exactly Hermitian.  The one route from a Pauli tensor to a matrix."""
+    """Inverse of pauli_coefficients: rho = 2^-N sum c sigma x ... x sigma, stored
+    exactly Hermitian.  The one route from a Pauli tensor to a matrix."""
     n, d = c.qubits, 2**c.qubits
     # sigma_b as column b of a (4, 4) matrix of its flattened (i, j) entries
     t = _mode_contract(c.coeffs, [sigma_stack().reshape(4, 4).T] * n)
     # axes are now (i_1, j_1, ..., i_N, j_N); interleave into row/column blocks
     perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     m = t.reshape((2,) * (2 * n)).transpose(perm).reshape(d, d) / d
-    return DenseOperator(0.5 * (m + m.conj().T), n, hermitian=True)
+    return DenseOperator(m, n, hermitian=True)
 
 
 def wcan_continuous(rep: object, n_tuple: Sequence[BlochVector]) -> float:
@@ -223,6 +217,8 @@ def wcan_discrete(rho: DenseOperator, frames: Sequence[Frame]) -> CoefficientTab
     frames = tuple(frames)
     if len(frames) != rho.qubits:
         raise ValueError(f"expected {rho.qubits} frames, got {len(frames)}")
+    rows = math.prod(f.size for f in frames)
+    _require_entries(f"a table of {rows} entries", rows, float)
     c = pauli_coefficients(rho)
     mats = [f.dual_pauli_matrix() for f in frames]
     weights = _mode_contract(c.coeffs, mats)

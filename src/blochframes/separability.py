@@ -155,4 +155,4 @@ def ppt_min_eigenvalue(rho: DenseOperator) -> float:
     separability, and for two qubits nonnegative confirms it.  Both sides
     have one spectrum, so the second qubit is transposed."""
     pt = partial_transpose(rho, 1)
-    return float(hermitian_eigenvalues(DenseOperator(pt, 2, hermitian=True))[0])
+    return float(hermitian_eigenvalues(DenseOperator(pt, 2))[0])

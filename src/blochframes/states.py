@@ -115,8 +115,8 @@ def build_state(spec: StateSpec) -> DenseOperator:
         check = validate_density(op)
         if not check.passed:
             raise ValueError(f"custom matrix is not a density operator: {check.reason}")
-        # Hermitian within the validation tolerance; made exactly so for every later step
-        return DenseOperator(0.5 * (m + m.conj().T), op.qubits, hermitian=True)
+        # Hermitian within the validation tolerance; stored exactly so for every later step
+        return DenseOperator(op.matrix, op.qubits, hermitian=True)
     if family not in _MIXTURES:
         raise ValueError(f"unknown state family {spec.family!r}; options: {FAMILIES}")
     if spec.matrix is not None:
@@ -131,7 +131,7 @@ def build_state(spec: StateSpec) -> DenseOperator:
     eps = spec.epsilon if eps is None else eps
     if eps is None:
         raise ValueError(f"family {spec.family!r} needs an epsilon")
-    _require_entries(f"the {family} state", n)
+    _require_entries(f"the {family} state on {n} qubits (4^{n} entries)", 4 ** min(n, 64))
     v = cat_state_vector(n)
     m = (1.0 - eps) * np.eye(2**n) / 2**n + eps * np.outer(v, v.conj())
     return DenseOperator(m, n, hermitian=True)
@@ -312,6 +312,8 @@ def ensemble_to_table(e: ProductEnsemble, frames: Sequence[Frame]) -> Coefficien
     frames = tuple(frames)
     if len(frames) != e.qubits:
         raise ValueError(f"expected {e.qubits} frames, got {len(frames)}")
+    rows = math.prod(f.size for f in frames)
+    _require_entries(f"a table of {rows} entries", rows, float)
     vectors = e._vectors
     idx = np.empty(vectors.shape[:2], dtype=int)
     off = np.empty(vectors.shape[:2], dtype=bool)

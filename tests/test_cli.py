@@ -623,6 +623,8 @@ _DOMAIN_ERRORS = {
         "only custom_matrix takes a matrix",
     # a state whose 4^N-entry operator would exceed the entry budget is refused unbuilt
     '{"family": "eps_cat", "n": 40, "epsilon": 0.1}': "above the limit of",
+    # and so is a table of more rows than the budget holds as floats: 6^9 on cardinal6
+    '{"family": "eps_cat", "n": 9, "epsilon": 0.1}': "above the limit of 2097152 entries",
 }
 
 
@@ -640,6 +642,19 @@ def test_nan_state_is_domain_error(capsys, argv):
     assert code == 3
     assert out == ""
     assert _DOMAIN_ERRORS[argv[-1]] in err
+
+
+def test_oversized_table_opens_no_file(capsys, tmp_path):
+    # 12^6 rows on the icosahedron, like 6^9 on cardinal6, are refused before the
+    # table is built or its file opened
+    out_file = tmp_path / "table.csv"
+    state = '{"family": "eps_cat", "n": 6, "epsilon": 0.1}'
+    argv = ["coeffs", "--state", state, "--frames", '"icosahedron"', "--out", str(out_file)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: a table of 2985984 entries is above the limit of 2097152 entries\n"
+    assert not out_file.exists()
 
 
 def test_nan_coefficient_is_input_error(capsys):

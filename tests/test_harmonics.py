@@ -125,6 +125,27 @@ def test_add_hosh_rejects_reality_violation(rng):
     assert len(ok.hosh) == 2
 
 
+_KEY = ((2, 0), (0, 0))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [(_KEY, complex(math.nan))],
+        [(_KEY, complex(math.inf))],
+        [(_KEY, complex(0.0, -math.inf))],
+        # two finite terms under one key whose sum overflows
+        [(_KEY, 1e308), (_KEY, 1e308)],
+    ],
+    ids=["nan", "inf", "-inf_j", "overflow"],
+)
+def test_add_hosh_rejects_non_finite_coefficients(terms):
+    c = pauli_coefficients(build_state(StateSpec("werner", epsilon=0.3)))
+    # a NaN fails every comparison, so the reality pairing alone would let it through
+    with pytest.raises(ValueError, match=r"\(\(2, 0\), \(0, 0\)\) has a non-finite coefficient"):
+        add_hosh(sph_coefficients(c), terms)
+
+
 def test_constructor_enforces_hosh_terms():
     # one qubit, maximally mixed: an l = 1 term would move the operator it represents
     c = pauli_coefficients(build_state(StateSpec("maximally_mixed", qubits=1)))

@@ -8,7 +8,9 @@ from blochframes import (
     DenseOperator,
     EnsembleTerm,
     ProductEnsemble,
+    StateSpec,
     bloch_projector,
+    build_state,
     continuous_dual,
     dual_frame,
     frame_check,
@@ -23,6 +25,7 @@ from blochframes import (
     validate_density,
     wcan_continuous,
 )
+from blochframes.operators import DEFAULT_VALIDATION_TOL
 from conftest import random_density, random_hermitian
 
 
@@ -178,3 +181,43 @@ def test_every_site_rejects_non_unit_vectors(site, v):
     # every component is positive, so reflect_octant's octant check cannot fire first
     with pytest.raises(ValueError, match="unit Bloch vector"):
         _UNIT_CHECK_SITES[site](v)
+
+
+def _skewed_ghz(scale: float) -> np.ndarray:
+    """eps_ghz at 0.2 plus an anti-Hermitian i delta at (0, 7) and (7, 0), so that
+    max |A - A^dag| = scale * DEFAULT_VALIDATION_TOL exactly."""
+    m = np.array(build_state(StateSpec("eps_ghz", epsilon=0.2)).matrix)
+    m[0, 7] += 0.5j * scale * DEFAULT_VALIDATION_TOL
+    m[7, 0] += 0.5j * scale * DEFAULT_VALIDATION_TOL
+    return m
+
+
+# each returns False or raises where it refuses the matrix as not Hermitian
+_HERMITICITY_SITES = {
+    "validate_density": lambda m: validate_density(DenseOperator(m, 3)).passed,
+    "DenseOperator": lambda m: DenseOperator(m, 3, hermitian=True),
+    "hermitian_eigenvalues": lambda m: hermitian_eigenvalues(DenseOperator(m, 3)),
+    "pauli_coefficients": lambda m: pauli_coefficients(DenseOperator(m, 3)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_HERMITICITY_SITES))
+# off the boundary itself, where rounding would decide
+@pytest.mark.parametrize("scale", [0.4, 2.0], ids=["0.4tol", "2tol"])
+def test_every_site_applies_one_hermiticity_rule(site, scale):
+    m = _skewed_ghz(scale)
+    assert np.abs(m - m.conj().T).max() == scale * DEFAULT_VALIDATION_TOL
+    try:
+        accepted = _HERMITICITY_SITES[site](m) is not False
+    except ValueError as exc:
+        assert "Hermitian" in str(exc)
+        accepted = False
+    assert accepted == (scale < 1.0)
+
+
+def test_flagged_operator_is_stored_exactly_hermitian():
+    skewed = DenseOperator(_skewed_ghz(0.4), 3, hermitian=True).matrix
+    assert np.array_equal(skewed, skewed.conj().T)
+    exact = _skewed_ghz(0.0)
+    assert DenseOperator(exact, 3, hermitian=True).matrix.tobytes() == exact.tobytes()
+    assert hermitian_eigenvalues(DenseOperator(_skewed_ghz(0.8), 3))[0] == pytest.approx(0.1)

@@ -447,3 +447,13 @@ def test_json_readers_read_their_writers_back_bit_identically(rng):
     back = PauliCoefficients.from_dict(again(c.to_dict()))
     assert back.qubits == c.qubits and np.array_equal(back.coeffs, c.coeffs)
     assert back.to_dict() == c.to_dict()
+
+
+def test_ensemble_to_table_refuses_an_oversized_table():
+    def north_table(n):
+        e = ProductEnsemble(n, (EnsembleTerm(1.0, (BlochVector(0.0, 0.0, 1.0),) * n),))
+        return ensemble_to_table(e, [build_frame("cardinal6")] * n)
+
+    with pytest.raises(ValueError, match="table of 10077696 entries is above the limit of 2097152"):
+        north_table(9)
+    assert north_table(8).total() == 1.0

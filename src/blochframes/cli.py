@@ -13,11 +13,11 @@ RECONSTRUCTION_TOL), ppt and witness (default SIGN_TOL), one table in this
 module; it must be a finite number >= 0, and the other subcommands refuse it.
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 usage error (a --tol
-that is not finite and >= 0, or one given where no verdict reads it) or an
-argument that does not read as its object (--state, --frames, --file,
---coeffs), such as a string or a boolean where a number belongs, 3 domain error
-(such as an epsilon outside [0, 1], an n its family does not take, or a state
-too large to build), 4 verification failure.
+that is not finite and >= 0, or one given where no verdict reads it, or a
+negative --refine) or an argument that does not read as its object (--state,
+--frames, --file, --coeffs), such as a string or a boolean where a number
+belongs, 3 domain error (such as an epsilon outside [0, 1], an n its family
+does not take, or a state too large to build), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -209,6 +209,8 @@ def cmd_verify_ensemble(args) -> int:
 
 
 def cmd_min_wcan(args) -> int:
+    if args.refine < 0:
+        raise _InputError(f"--refine must be >= 0, got {args.refine}")
     spec = _read("--state", args.state, StateSpec.from_json)
     rho = build_state(spec)
     c = pauli_coefficients(rho)

@@ -98,7 +98,7 @@ class SphCoefficients:
                 raise ValueError(f"term {key} has a non-finite coefficient {merged[key]}")
         for key, coeff in merged.items():
             partner = merged.get(_mirror(key), 0j)
-            expected = _mirror_parity(key) * np.conj(coeff)
+            expected = _mirror_parity(key) * coeff.conjugate()
             if abs(partner - expected) > 1e-12 * max(1.0, abs(coeff)):
                 raise ValueError(
                     f"term {key} breaks the reality pairing: mirror coefficient is {partner}, "

@@ -42,28 +42,41 @@ _GAIN_FLOOR = 1e-15
 _AXES = np.eye(4)[1:]
 
 
-class SphereGrid(NamedTuple):
-    points: np.ndarray  # (P, 2) rows of (theta, phi)
-
-
-def sphere_grid(count: int) -> SphereGrid:
-    """At most `count` deterministic points: both poles plus latitude rings.
-
-    The ring structure uses m theta intervals and p azimuths with m, p even,
-    so theta = pi/2 and phi in {0, pi} are always present.
-    """
-    if count < 6:
-        raise ValueError("sphere grids need at least 6 points")
+def _rings(count: int) -> tuple[int, int]:
+    """The m theta intervals and p azimuths of sphere_grid(count); its
+    2 + (m - 1) p points are at least count - sqrt(2 count) + 1."""
     m = max(2, 2 * round(math.sqrt(count / 8.0)))
     p = (count - 2) // (m - 1)
-    p = max(2, p - (p % 2))
-    pts = [(0.0, 0.0)]
-    for i in range(1, m):
-        theta = math.pi * i / m
-        for j in range(p):
-            pts.append((theta, 2.0 * math.pi * j / p))
-    pts.append((math.pi, 0.0))
-    return SphereGrid(np.array(pts))
+    return m, max(2, p - (p % 2))
+
+
+def sphere_grid(count: int) -> np.ndarray:
+    """At most `count` deterministic points as (P, 2) rows of (theta, phi): the
+    north pole, rings at m - 1 latitudes of p azimuths each, the south pole;
+    m and p are even, so theta = pi/2 and phi in {0, pi} are always present."""
+    if count < 6:
+        raise ValueError("sphere grids need at least 6 points")
+    m, p = _rings(count)
+    theta = np.repeat(np.pi * np.arange(1, m) / m, p)
+    phi = np.tile(2.0 * np.pi * np.arange(p) / p, m - 1)
+    return np.vstack([(0.0, 0.0), np.column_stack([theta, phi]), (np.pi, 0.0)])
+
+
+def _scan_count(request: int, n: int) -> int:
+    """The largest count <= request of its parity and >= 6 whose grid fits
+    SCAN_BUDGET over n spheres, else the smallest (6 or 7).  Sizes are not
+    monotone in count (50 gives 50 points, 51 gives 42), so counts are tried
+    downward; by _rings' bound none fits from s + 2 sqrt(s) + 8 up, s being the
+    least size over budget, and no grid exceeds its count: about sqrt(s) tries."""
+    s = int(SCAN_BUDGET ** (1.0 / n)) + 1
+    top = int(s + 2.0 * math.sqrt(s)) + 8
+    count = min(request, top - (top - request) % 2)
+    while count >= 8:
+        m, p = _rings(count)
+        if (2 + (m - 1) * p) ** n <= SCAN_BUDGET:
+            break
+        count -= 2
+    return count
 
 
 class MinimizeResult(NamedTuple):
@@ -134,24 +147,12 @@ def minimize_wcan(
     if grid_per_sphere < 6:
         raise ValueError("grid_per_sphere must be at least 6")
     n = c.qubits
-
-    count = grid_per_sphere
-    grid = sphere_grid(count)
-    while len(grid.points) ** n > SCAN_BUDGET and count > 6:
-        count -= 2
-        grid = sphere_grid(count)
-    if len(grid.points) ** n > 4 * SCAN_BUDGET:
+    angles = sphere_grid(_scan_count(grid_per_sphere, n))
+    if len(angles) ** n > 4 * SCAN_BUDGET:
         raise ValueError(f"product grid scan is infeasible for {n} qubits")
 
-    angles = grid.points
-    nodes = np.stack(
-        [
-            np.sin(angles[:, 0]) * np.cos(angles[:, 1]),
-            np.sin(angles[:, 0]) * np.sin(angles[:, 1]),
-            np.cos(angles[:, 0]),
-        ],
-        axis=1,
-    )
+    theta, phi = angles.T
+    nodes = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], 1)
     table = c.node_values([nodes] * n)
     flat = table.reshape(-1)
     best_flat = int(np.argmin(flat))
@@ -160,8 +161,7 @@ def minimize_wcan(
     tie_flats = np.flatnonzero(flat <= value + 1e-12)[:_TIE_CAP]
     shape = table.shape
     ties = tuple(
-        tuple((float(angles[i, 0]), float(angles[i, 1])) for i in np.unravel_index(t, shape))
-        for t in tie_flats
+        tuple(tuple(angles[i].tolist()) for i in np.unravel_index(t, shape)) for t in tie_flats
     )
 
     def evaluate(trial: np.ndarray) -> float:

@@ -32,13 +32,6 @@ class SeparabilityCertificate:
     reconstruction_error: float
     verdict: str  # "separable" | "undetermined"
 
-    def to_json(self) -> dict:
-        return {
-            "minimum_coefficient": self.minimum_coefficient,
-            "reconstruction_error": self.reconstruction_error,
-            "verdict": self.verdict,
-        }
-
 
 def certify(rho: DenseOperator, representation) -> SeparabilityCertificate:
     """Check a claimed product representation of rho and grade it.

@@ -277,6 +277,51 @@ def test_min_wcan_threshold_search_seven_qubits(capsys):
     assert abs(json.loads(out)["threshold"] - 1 / 3969) < 1e-6
 
 
+def test_min_wcan_thins_a_huge_grid_at_once(capsys):
+    # the largest even count whose grid squared fits 8,000,000 points
+    code, out, err = run_cli(
+        capsys,
+        ["min-wcan", "--state", '{"family": "werner", "epsilon": 0.2}',
+         "--grid", "1000000", "--refine", "0"],
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert (report["grid"], report["grid_used"]) == (1000000, 2814)
+
+
+def test_min_wcan_refuses_negative_refine(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["min-wcan", "--state", '{"family": "werner", "epsilon": 0.2}', "--refine", "-4"],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --refine must be >= 0, got -4\n"
+
+
+def test_refusals_of_mismatched_or_missing_arguments(capsys, tmp_path):
+    from blochframes import werner_ensemble
+
+    cardinal = '{"kind": "cardinal6"}'
+    code, out, err = run_cli(
+        capsys,
+        ["coeffs", "--state", '{"family": "werner", "epsilon": 0.2}',
+         "--frames", f"[{cardinal}, {cardinal}, {cardinal}]"],
+    )
+    assert (code, out, err) == (3, "", "error: got 3 frames for 2 qubits\n")
+
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(werner_ensemble().to_json()))
+    code, out, err = run_cli(
+        capsys,
+        ["verify-ensemble", "--file", str(path),
+         "--state", '{"family": "eps_cat", "n": 3, "epsilon": 0.1}'],
+    )
+    assert (code, out, err) == (3, "", "error: ensemble acts on 2 qubits, target on 3\n")
+
+    code, out, err = run_cli(capsys, ["witness", "--name", "werner"])
+    assert (code, out, err) == (2, "", "error: witness needs --state or --coeffs\n")
+
+
 def test_witness_subcommand(capsys):
     code, out, err = run_cli(
         capsys, ["witness", "--name", "werner", "--state", '{"family": "werner", "epsilon": 0.5}']

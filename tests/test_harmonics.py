@@ -146,6 +146,16 @@ def test_add_hosh_rejects_non_finite_coefficients(terms):
         add_hosh(sph_coefficients(c), terms)
 
 
+def test_reality_pairing_of_huge_coefficients():
+    # the pairing check runs in Python complex arithmetic, which overflows to inf
+    # quietly, where numpy scalars warn before refusing
+    s = sph_coefficients(pauli_coefficients(build_state(StateSpec("werner", epsilon=0.3))))
+    key, mirror = ((2, 1), (0, 0)), ((2, -1), (0, 0))
+    with pytest.raises(ValueError, match="breaks the reality pairing"):
+        add_hosh(s, {key: 1e308 + 1e308j, mirror: 1e308 + 1e308j})
+    assert len(add_hosh(s, {key: 1e308 + 1e308j, mirror: -1e308 + 1e308j}).hosh) == 2
+
+
 def test_constructor_enforces_hosh_terms():
     # one qubit, maximally mixed: an l = 1 term would move the operator it represents
     c = pauli_coefficients(build_state(StateSpec("maximally_mixed", qubits=1)))

@@ -5,6 +5,7 @@ import pytest
 
 from blochframes import (
     DenseOperator,
+    PauliCoefficients,
     StateSpec,
     bound_cat,
     build_state,
@@ -15,15 +16,14 @@ from blochframes import (
     threshold_search,
     wcan_continuous,
 )
-from blochframes.minimize import _slope
+from blochframes.minimize import SCAN_BUDGET, _scan_count, _slope
 from conftest import random_density
 
 FOUR_PI = 4 * math.pi
 
 
 def test_sphere_grid_contains_poles_and_equator():
-    g = sphere_grid(48)
-    pts = np.asarray(g.points)
+    pts = sphere_grid(48)
     assert any(abs(t) < 1e-15 for t, _ in pts)
     assert any(abs(t - math.pi) < 1e-12 for t, _ in pts)
     equator_phis = sorted(p for t, p in pts if abs(t - math.pi / 2) < 1e-12)
@@ -34,6 +34,81 @@ def test_sphere_grid_contains_poles_and_equator():
 def test_sphere_grid_too_small():
     with pytest.raises(ValueError):
         sphere_grid(5)
+
+
+def _ring_loop(count):
+    # the grid as a double loop over rings and azimuths, one point at a time
+    m = max(2, 2 * round(math.sqrt(count / 8.0)))
+    p = (count - 2) // (m - 1)
+    p = max(2, p - (p % 2))
+    pts = [(0.0, 0.0)]
+    for i in range(1, m):
+        theta = math.pi * i / m
+        for j in range(p):
+            pts.append((theta, 2.0 * math.pi * j / p))
+    pts.append((math.pi, 0.0))
+    return pts
+
+
+@pytest.mark.parametrize("counts", [range(6, 200), (50, 51, 1000, 1001, 2814, 4000)])
+def test_sphere_grid_matches_ring_loop(counts):
+    for count in counts:
+        expected = np.array(_ring_loop(count))
+        got = sphere_grid(count)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), count
+
+
+def _former_choice(sizes, n):
+    """The count the former thinning loop of minimize_wcan scanned over n
+    spheres, for every request in sizes (count -> grid size, ascending from 6):
+
+        count = request
+        while len(sphere_grid(count)) ** n > SCAN_BUDGET and count > 6:
+            count -= 2
+
+    A request that fits, or is 6, is kept; one that does not goes on as
+    request - 2 did; 7 stepped to sphere_grid(5), which raised (None).
+    """
+    chosen = {}
+    for request, size in sizes.items():
+        if size**n <= SCAN_BUDGET or request == 6:
+            chosen[request] = request
+        else:
+            chosen[request] = None if request == 7 else chosen[request - 2]
+    return chosen
+
+
+def test_scan_choice_matches_former_thinning_loop():
+    sizes = {count: len(_ring_loop(count)) for count in range(6, 2001)}
+    for n in range(1, 11):
+        for request, count in _former_choice(sizes, n).items():
+            if count is None:
+                # the loop raised once 7 was over budget, on odd requests at N >= 9
+                assert n >= 9 and request % 2 == 1
+                count = 7
+            assert _scan_count(request, n) == count, (n, request)
+    # every request at N = 9 scans the 6-point grid, within the refusal bound
+    assert {sizes[_scan_count(request, 9)] for request in sizes} == {6}
+    assert 6**9 <= 4 * SCAN_BUDGET
+
+
+def test_scan_uses_the_chosen_grid(rng):
+    sizes = {count: len(_ring_loop(count)) for count in range(6, 52)}
+    for n in (1, 2, 3, 4):
+        former = _former_choice(sizes, n)
+        c = pauli_coefficients(random_density(rng, n))
+        for grid in (6, 7, 8, 12, 13, 24, 25, 40, 51):
+            res = minimize_wcan(c, grid_per_sphere=grid, refine_iters=0)
+            points = set(_ring_loop(former[grid]))
+            assert res.grid_used == len(points)
+            assert all(point in points for tie in res.grid_ties for point in tie)
+
+
+def test_ten_qubit_scan_refused_at_every_grid():
+    c = PauliCoefficients(10, np.zeros((4,) * 10))
+    for grid in range(6, 2001):
+        with pytest.raises(ValueError, match="product grid scan is infeasible for 10 qubits"):
+            minimize_wcan(c, grid_per_sphere=grid, refine_iters=0)
 
 
 def test_minimize_rejects_small_grid(rng):

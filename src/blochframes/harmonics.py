@@ -99,7 +99,10 @@ class SphCoefficients:
         for key, coeff in merged.items():
             partner = merged.get(_mirror(key), 0j)
             expected = _mirror_parity(key) * coeff.conjugate()
-            if abs(partner - expected) > 1e-12 * max(1.0, abs(coeff)):
+            # |gap| > 1e-12 max(1, |coeff|), quartered (exactly) so that abs()
+            # of a finite complex cannot overflow
+            gap = partner / 4 - expected / 4
+            if abs(gap) > 1e-12 * max(0.25, abs(coeff / 4)):
                 raise ValueError(
                     f"term {key} breaks the reality pairing: mirror coefficient is {partner}, "
                     f"needs {expected}"
@@ -138,7 +141,8 @@ class SphCoefficients:
                 term = np.multiply.outer(term, sph_y(l, mm, theta, phi))
             extra += term
         # the mirror pairing makes the sum real up to rounding
-        return total + extra.real
+        total += extra.real
+        return total
 
 
 def sph_coefficients(c: PauliCoefficients) -> SphCoefficients:

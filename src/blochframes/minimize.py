@@ -17,6 +17,7 @@ minimization.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -77,6 +78,22 @@ def _scan_count(request: int, n: int) -> int:
             break
         count -= 2
     return count
+
+
+def _scan_grid(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """sphere_grid(count) and its unit vectors, both read-only."""
+    angles = sphere_grid(count)
+    theta, phi = angles.T
+    nodes = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], 1)
+    angles.setflags(write=False)
+    nodes.setflags(write=False)
+    return angles, nodes
+
+
+# the last few small grids are kept for reuse: eight of at most 1000 points
+# hold under 400 KB, where one N = 1 grid near SCAN_BUDGET holds 320 MB
+_CACHED_GRID_COUNT = 1000
+_cached_scan_grid = functools.lru_cache(maxsize=8)(_scan_grid)
 
 
 class MinimizeResult(NamedTuple):
@@ -147,12 +164,11 @@ def minimize_wcan(
     if grid_per_sphere < 6:
         raise ValueError("grid_per_sphere must be at least 6")
     n = c.qubits
-    angles = sphere_grid(_scan_count(grid_per_sphere, n))
+    count = _scan_count(grid_per_sphere, n)
+    angles, nodes = (_cached_scan_grid if count <= _CACHED_GRID_COUNT else _scan_grid)(count)
     if len(angles) ** n > 4 * SCAN_BUDGET:
         raise ValueError(f"product grid scan is infeasible for {n} qubits")
 
-    theta, phi = angles.T
-    nodes = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], 1)
     table = c.node_values([nodes] * n)
     flat = table.reshape(-1)
     best_flat = int(np.argmin(flat))
@@ -160,9 +176,9 @@ def minimize_wcan(
 
     tie_flats = np.flatnonzero(flat <= value + 1e-12)[:_TIE_CAP]
     shape = table.shape
-    ties = tuple(
-        tuple(tuple(angles[i].tolist()) for i in np.unravel_index(t, shape)) for t in tie_flats
-    )
+    # one gather: the (theta, phi) rows of every qubit of every tie
+    tie_angles = angles[np.stack(np.unravel_index(tie_flats, shape), 1)].tolist()
+    ties = tuple(tuple(map(tuple, tie)) for tie in tie_angles)
 
     def evaluate(trial: np.ndarray) -> float:
         return float(c.node_values(trial[:, None, :]).reshape(()))

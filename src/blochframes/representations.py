@@ -86,8 +86,10 @@ class PauliCoefficients:
         if len(nodes_per_qubit) != self.qubits:
             raise ValueError("need one node array per qubit")
         mats = [_pauli_rows(nodes, 1.0 / 3.0) for nodes in nodes_per_qubit]
-        scale = (3.0 / FOUR_PI) ** self.qubits
-        return scale * _mode_contract(self.coeffs, mats)
+        # scaled in place: a grid scan then holds one full-size table, not two
+        values = _mode_contract(self.coeffs, mats)
+        values *= (3.0 / FOUR_PI) ** self.qubits
+        return values
 
     def to_dict(self) -> dict:
         """JSON form {"n": N, "coeffs": {"a1...aN": value}} listing nonzeros."""

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,46 @@ def test_reality_pairing_of_huge_coefficients():
     with pytest.raises(ValueError, match="breaks the reality pairing"):
         add_hosh(s, {key: 1e308 + 1e308j, mirror: 1e308 + 1e308j})
     assert len(add_hosh(s, {key: 1e308 + 1e308j, mirror: -1e308 + 1e308j}).hosh) == 2
+
+
+@pytest.mark.parametrize(
+    "mirror_coeff", [1.5e308 + 1.5e308j, 0j], ids=["same-size mismatch", "missing mirror"]
+)
+def test_pairing_tolerance_of_coefficients_beyond_the_float_modulus(mirror_coeff):
+    # |1.5e308 + 1.5e308j| is above the float range, so abs() of it overflows
+    s = sph_coefficients(pauli_coefficients(build_state(StateSpec("werner", epsilon=0.3))))
+    key, mirror = ((2, 1), (0, 0)), ((2, -1), (0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paired = add_hosh(s, {key: 1.5e308 + 1.5e308j, mirror: -1.5e308 + 1.5e308j})
+        assert dict(paired.hosh) == {key: 1.5e308 + 1.5e308j, mirror: -1.5e308 + 1.5e308j}
+        with pytest.raises(ValueError, match="breaks the reality pairing"):
+            add_hosh(s, {key: 1.5e308 + 1.5e308j, mirror: mirror_coeff})
+
+
+@pytest.mark.parametrize(
+    "coeff, gap, accepted",
+    [
+        # the gap is measured by its modulus: 0.9e-12 (1 + 1j) is 1.27e-12
+        (1.0 + 0j, 0.9e-12 * (1 + 1j), False),
+        (1.0 + 0j, 0.7e-12 * (1 + 1j), True),
+        # and so is the scale: |0.6 + 0.8j| = 1, not its largest component 0.8
+        (1e6 * (0.6 + 0.8j), 0.9e-6 + 0j, True),
+        (1e6 * (0.6 + 0.8j), 1.1e-6 + 0j, False),
+        (1e300 * (0.6 + 0.8j), 0.9e288 + 0j, True),
+        (1e300 * (0.6 + 0.8j), 0.9e288 * (1 + 1j), False),
+    ],
+)
+def test_pairing_tolerance_near_its_boundary(coeff, gap, accepted):
+    # refused when |gap| > 1e-12 max(1, |coeff|)
+    s = sph_coefficients(pauli_coefficients(build_state(StateSpec("werner", epsilon=0.3))))
+    key, mirror = ((2, 1), (0, 0)), ((2, -1), (0, 0))
+    terms = {key: coeff, mirror: -coeff.conjugate() + gap}
+    if accepted:
+        assert len(add_hosh(s, terms).hosh) == 2
+    else:
+        with pytest.raises(ValueError, match="breaks the reality pairing"):
+            add_hosh(s, terms)
 
 
 def test_constructor_enforces_hosh_terms():

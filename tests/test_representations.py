@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from blochframes import (
     pauli_to_operator,
     reconstruct_continuous,
     reconstruct_discrete,
+    sphere_grid,
     sphere_quadrature,
     tensor,
     trace_inner,
@@ -29,6 +31,7 @@ from blochframes import (
     wcan_discrete,
 )
 from blochframes.cli import main
+from blochframes.operators import _pauli_rows
 from blochframes.representations import _mode_contract
 from conftest import random_density, random_hermitian
 
@@ -435,3 +438,34 @@ def test_pauli_coefficients_reject_non_finite():
         c[0, 0], c[1, 1] = 1.0, bad
         with pytest.raises(ValueError, match="non-finite"):
             PauliCoefficients(2, c)
+
+
+def _grid_nodes(count):
+    theta, phi = sphere_grid(count).T
+    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], 1)
+
+
+def test_grid_scan_holds_one_full_size_table(rng):
+    # the scaling is done in place, so the contraction's result is the only table
+    c = pauli_coefficients(random_density(rng, 4))
+    nodes = _grid_nodes(24)
+    assert len(nodes) == 20
+    c.node_values([nodes] * 4)
+    tracemalloc.start()
+    try:
+        values = c.node_values([nodes] * 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (20,) * 4
+    assert peak <= 1.5 * values.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_node_values_match_scaled_copy_bit_for_bit(rng, n):
+    # node_values as it was: a scaled copy of the contraction
+    c = pauli_coefficients(random_density(rng, n))
+    nodes = [_grid_nodes(count) for count in (6, 7, 12, 25)[:n]]
+    mats = [_pauli_rows(x, 1.0 / 3.0) for x in nodes]
+    former = (3.0 / FOUR_PI) ** n * _mode_contract(c.coeffs, mats)
+    assert c.node_values(nodes).tobytes() == former.tobytes()

@@ -134,7 +134,9 @@ class SphCoefficients:
         """Evaluate the expansion function on a product grid of sphere points."""
         total = self.pauli.node_values(nodes_per_qubit)
         angles = [_node_angles(nodes) for nodes in nodes_per_qubit]
-        extra = np.zeros(total.shape, dtype=complex)
+        # a scalar start: with no HOSH terms no zero table is built, and adding
+        # 0.0 turns -0.0 into +0.0 just as adding a zero table did
+        extra = 0.0
         for key, coeff in self.hosh:
             term = np.array(coeff)
             for (l, mm), (theta, phi) in zip(key, angles):

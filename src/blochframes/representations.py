@@ -14,6 +14,7 @@ back to a Pauli tensor with the projectors' Pauli rows.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
@@ -36,7 +37,7 @@ FOUR_PI = 4.0 * math.pi
 # worst monomial-moment error up to which a quadrature counts as exact to a degree
 QUADRATURE_TOL = 1e-8
 # rows per stream.write in CoefficientTable.write_csv
-_CSV_BLOCK_ROWS = 1 << 15
+_CSV_BLOCK_ROWS = 1 << 13
 
 
 def _mode_contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -162,8 +163,19 @@ class CoefficientTable:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        frames = tuple(self.frames)
-        w = np.array(self.weights, dtype=float)
+        # a caller's array is copied, so the table neither aliases nor freezes it
+        self._set_checked(self.frames, np.array(self.weights, dtype=float))
+
+    @classmethod
+    def _adopt(cls, frames: Sequence[Frame], weights: np.ndarray) -> "CoefficientTable":
+        """A table built around a fresh float tensor that nothing else holds:
+        checked and frozen like any other, but not copied."""
+        table = object.__new__(cls)
+        table._set_checked(frames, np.asarray(weights, dtype=float))
+        return table
+
+    def _set_checked(self, frames: Sequence[Frame], w: np.ndarray) -> None:
+        frames = tuple(frames)
         expected = tuple(f.size for f in frames)
         if w.shape != expected:
             raise ValueError(f"weight tensor shape {w.shape} does not match frame sizes {expected}")
@@ -200,11 +212,19 @@ class CoefficientTable:
         while split > 0 and rows * shape[split - 1] <= _CSV_BLOCK_ROWS:
             split -= 1
             rows *= shape[split]
-        prefixes = ["".join(f"{i}," for i in idx) for idx in np.ndindex(*shape[split:])]
-        for lead in np.ndindex(*shape[:split]):
-            head = "".join(f"{i}," for i in lead)
-            weights = map(repr, self.weights[lead].ravel().tolist())
-            stream.write(head + ("\n" + head).join(map(str.__add__, prefixes, weights)) + "\n")
+        labels = [[f"{i}," for i in range(size)] for size in shape]
+        # each row is the four strings head, prefix, weight, newline
+        parts = [None, None, None, "\n"] * rows
+        parts[1::4] = map("".join, itertools.product(*labels[split:]))
+        heads = map("".join, itertools.product(*labels[:split]))
+        for head, block in zip(heads, self.weights.reshape(-1, rows).view(np.int64)):
+            # tables repeat few values, so each distinct bit pattern (which keeps
+            # -0.0 apart from 0.0) is formatted once per block
+            bits, inverse = np.unique(block, return_inverse=True)
+            texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+            parts[0::4] = [head] * rows
+            parts[2::4] = texts[inverse].tolist()
+            stream.write("".join(parts))
         if comments:
             stream.write(f"# min={self.min_entry()!r} sum={self.total()!r}\n")
 
@@ -223,8 +243,7 @@ def wcan_discrete(rho: DenseOperator, frames: Sequence[Frame]) -> CoefficientTab
     _require_entries(f"a table of {rows} entries", rows, float)
     c = pauli_coefficients(rho)
     mats = [f.dual_pauli_matrix() for f in frames]
-    weights = _mode_contract(c.coeffs, mats)
-    return CoefficientTable(frames, weights)
+    return CoefficientTable._adopt(frames, _mode_contract(c.coeffs, mats))
 
 
 def reconstruct_discrete(table: CoefficientTable) -> DenseOperator:

@@ -331,4 +331,4 @@ def ensemble_to_table(e: ProductEnsemble, frames: Sequence[Frame]) -> Coefficien
     weights = np.zeros(tuple(f.size for f in frames))
     # unbuffered, in term order: repeated indices add up like a term loop
     np.add.at(weights, tuple(idx.T), [p for p, _, _ in e.terms])
-    return CoefficientTable(frames, weights)
+    return CoefficientTable._adopt(frames, weights)

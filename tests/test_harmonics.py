@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from blochframes import (
     BlochVector,
     DenseOperator,
+    PauliCoefficients,
     SphCoefficients,
     StateSpec,
     add_hosh,
@@ -19,6 +21,7 @@ from blochframes import (
     reconstruct_continuous,
     sph_coefficients,
     sph_y,
+    sphere_grid,
     sphere_quadrature,
     wcan_continuous,
 )
@@ -335,6 +338,55 @@ def test_node_values_match_column_loop(rng):
                 assert np.abs(coeffs.node_values(nodes) - expected).max() <= 1e-15
             # without HOSH terms the Pauli tensor is the one evaluator
             assert np.array_equal(s.node_values(nodes), c.node_values(nodes))
+
+
+def _node_values_from_zero_table(s, nodes_per_qubit):
+    """SphCoefficients.node_values as it was: the HOSH sum starts from a complex zero table."""
+    from blochframes.harmonics import _node_angles
+
+    total = s.pauli.node_values(nodes_per_qubit)
+    angles = [_node_angles(nodes) for nodes in nodes_per_qubit]
+    extra = np.zeros(total.shape, dtype=complex)
+    for key, coeff in s.hosh:
+        term = np.array(coeff)
+        for (l, mm), (theta, phi) in zip(key, angles):
+            term = np.multiply.outer(term, sph_y(l, mm, theta, phi))
+        extra += term
+    total += extra.real
+    return total
+
+
+def test_node_values_match_zero_table_start_bit_for_bit():
+    # c_0 / 3 is the least negative subnormal, and the (3/4pi) scale rounds it
+    # to -0.0 wherever z = 0
+    c = PauliCoefficients(1, np.array([-3 * 5e-324, 0.0, 0.0, 0.5]))
+    nodes = [np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.6, 0.8], [0.0, 0.0, -1.0]])]
+    pauli_values = c.node_values(nodes)
+    assert pauli_values[0] == 0.0 and np.signbit(pauli_values[:2]).all()
+    s = sph_coefficients(c)
+    aug = add_hosh(s, {((2, 1),): 0.3 + 0.2j, ((2, -1),): -0.3 + 0.2j})
+    for coeffs in (s, aug):
+        former = _node_values_from_zero_table(coeffs, nodes)
+        assert coeffs.node_values(nodes).tobytes() == former.tobytes()
+    # adding 0.0 turns -0.0 into +0.0, as the zero table did
+    assert not np.signbit(s.node_values(nodes)[:2]).any()
+
+
+def test_node_values_without_hosh_hold_one_table():
+    rho = build_state(StateSpec("eps_cat", qubits=4, epsilon=0.2))
+    s = sph_coefficients(pauli_coefficients(rho))
+    theta, phi = sphere_grid(24).T
+    nodes = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], 1)
+    assert len(nodes) == 20
+    s.node_values([nodes] * 4)
+    tracemalloc.start()
+    try:
+        values = s.node_values([nodes] * 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (20,) * 4
+    assert peak <= 1.5 * values.nbytes
 
 
 def test_sph_y_broadcasts_and_checks_every_m():

@@ -32,7 +32,8 @@ from blochframes import (
 )
 from blochframes.cli import main
 from blochframes.operators import _pauli_rows
-from blochframes.representations import _mode_contract
+from blochframes import representations
+from blochframes.representations import _CSV_BLOCK_ROWS, _mode_contract
 from conftest import random_density, random_hermitian
 
 FOUR_PI = 4 * math.pi
@@ -239,7 +240,40 @@ def csv_tables(rng):
     )
     assert big.weights.size > 2**15
     single = wcan_discrete(random_density(rng, 1), [build_frame("icosahedron")])
-    return [mixed, big, single]
+    hand_built = [_hand_built_table(rng), _five_frame_table(rng), _wide_frame_table(rng)]
+    return [mixed, big, single, *hand_built]
+
+
+def _hand_built_table(rng):
+    """Few distinct weights, with the cases a per-block formatter could mix up."""
+    frames = [build_frame("icosahedron")] * 3 + [build_frame("cardinal6")]
+    # each write block is the last three axes, so block boundaries lie 864 rows apart
+    block = 12 * 12 * 6
+    assert block <= _CSV_BLOCK_ROWS < 12 * block
+    values = [0.0, -0.0, 5e-324, 2.5e-310, 1e16, 1.25e17, -3e300, 0.1, 1 / 3]
+    w = rng.choice(values, size=(12,) * 3 + (6,))
+    w[0, 0, 0, :2] = 0.0, -0.0
+    # 1/7 occurs only at the last row of the first block and the first of the second
+    w.flat[block - 1] = w.flat[block] = 1 / 7
+    reprs = {repr(v) for v in w.ravel().tolist()}
+    assert {"0.0", "-0.0", "5e-324", "2.5e-310", "1e+16", "1.25e+17"} <= reprs
+    return CoefficientTable(frames, w)
+
+
+def _five_frame_table(rng):
+    """A different frame size on each qubit, written in blocks of the last three axes."""
+    kinds = ["tetrahedron", "cube", "icosahedron", "dodecahedron", "cardinal6"]
+    assert 12 * 20 * 6 <= _CSV_BLOCK_ROWS < 8 * 12 * 20 * 6
+    return wcan_discrete(random_density(rng, 5), [build_frame(k) for k in kinds])
+
+
+def _wide_frame_table(rng):
+    """A last frame larger than a write block, so each block is one frame's worth."""
+    vectors = rng.normal(size=(_CSV_BLOCK_ROWS + 808, 3))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    wide = build_frame("custom", [BlochVector(*v) for v in vectors.tolist()])
+    w = rng.choice([0.25, 0.0, -0.0, 1e-7], size=(4, wide.size))
+    return CoefficientTable([build_frame("tetrahedron"), wide], w)
 
 
 @pytest.mark.parametrize("comments", [True, False])
@@ -394,6 +428,40 @@ def test_table_validation():
         weights[2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             CoefficientTable(frames, weights)
+
+
+def test_table_copies_a_callers_weights(rng):
+    frames = [build_frame("cardinal6")] * 2
+    mine = np.full((6, 6), 1 / 36)
+    t = CoefficientTable(frames, mine)
+    assert not np.shares_memory(t.weights, mine)
+    assert mine.flags.writeable and not t.weights.flags.writeable
+    mine[0, 0] = 1.0
+    assert t.weights[0, 0] == 1 / 36
+    # a Fortran-ordered array is written in the same row order
+    columns = np.asfortranarray(rng.normal(size=(6, 6)))
+    t = CoefficientTable(frames, columns)
+    buf = io.StringIO()
+    t.write_csv(buf)
+    assert buf.getvalue() == reference_csv(t)
+
+
+def test_fresh_tables_adopt_their_weights(monkeypatch):
+    made = []
+
+    def contract(tensor, matrices):
+        made.append(_mode_contract(tensor, matrices))
+        return made[-1]
+
+    monkeypatch.setattr(representations, "_mode_contract", contract)
+    rho = build_state(StateSpec("eps_cat", qubits=3, epsilon=0.2))
+    t = wcan_discrete(rho, [build_frame("cardinal6")] * 3)
+    assert t.weights is made[-1] and not t.weights.flags.writeable
+    frames = [build_frame("cardinal6")]
+    with pytest.raises(ValueError, match="non-finite"):
+        CoefficientTable._adopt(frames, np.array([0.5, math.nan, 0.5, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="does not match"):
+        CoefficientTable._adopt(frames, np.zeros(5))
 
 
 def test_reconstruct_discrete_uniform_octahedron():

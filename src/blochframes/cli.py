@@ -13,10 +13,10 @@ RECONSTRUCTION_TOL), ppt and witness (default SIGN_TOL), one table in this
 module; it must be a finite number >= 0, and the other subcommands refuse it.
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 usage error (a --tol
-that is not finite and >= 0, or one given where no verdict reads it, or a
-negative --refine) or an argument that does not read as its object (--state,
---frames, --file, --coeffs), such as a string or a boolean where a number
-belongs, 3 domain error (such as an epsilon outside [0, 1], an n its family
+that is not finite and >= 0, or one given where no verdict reads it, a --grid
+below 6 or a negative --refine) or an argument that does not read as its object
+(--state, --frames, --file, --coeffs), such as a string or a boolean where a
+number belongs, 3 domain error (such as an epsilon outside [0, 1], an n its family
 does not take, or a state too large to build), 4 verification failure.
 """
 
@@ -175,14 +175,15 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-# verify-ensemble --name -> (qubits, family of the default target at eps_N)
-_NAMED_ENSEMBLES = {"werner": (2, "werner"), "ghz": (3, "eps_ghz")}
+# verify-ensemble --name -> qubit count N; the ensemble is cat_ensemble(N), and the
+# default target the eps-cat state at eps_N
+_NAMED_ENSEMBLES = {"werner": 2, "ghz": 3}
 
 
 def cmd_verify_ensemble(args) -> int:
     if args.name:
-        n, family = _NAMED_ENSEMBLES[args.name]
-        ensemble, spec = cat_ensemble(n), StateSpec(family, epsilon=bound_duer(n))
+        n = _NAMED_ENSEMBLES[args.name]
+        ensemble, spec = cat_ensemble(n), StateSpec("eps_cat", n, bound_duer(n))
     else:
         ensemble = _read("--file", args.file, ProductEnsemble.from_json)
         spec = None
@@ -209,6 +210,8 @@ def cmd_verify_ensemble(args) -> int:
 
 
 def cmd_min_wcan(args) -> int:
+    if args.grid < 6:
+        raise _InputError(f"--grid must be >= 6, got {args.grid}")
     if args.refine < 0:
         raise _InputError(f"--refine must be >= 0, got {args.refine}")
     spec = _read("--state", args.state, StateSpec.from_json)

@@ -33,16 +33,9 @@ GRAM_RANK_CUTOFF = 1e-10
 BALANCE_TOL = 1e-10  # centroid and moment residual up to which frame_check passes
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
-POLYHEDRON_SIZES = {
-    "tetrahedron": 4,
-    "octahedron": 6,
-    "cube": 8,
-    "icosahedron": 12,
-    "dodecahedron": 20,
-}
-
+_POLYHEDRA = ("tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron")
 # the kinds whose vectors are fixed, so that they take none
-_NAMED_KINDS = ("cardinal6", *POLYHEDRON_SIZES)
+_NAMED_KINDS = ("cardinal6", *_POLYHEDRA)
 FRAME_KINDS = (*_NAMED_KINDS, "reflected", "custom")
 
 
@@ -196,7 +189,7 @@ def polyhedron_vectors(kind: str) -> tuple[BlochVector, ...]:
                 base = [0.0, s1 / GOLDEN, s2 * GOLDEN]
                 out.append(_unit(*np.roll(base, shift)))
         return tuple(out)
-    raise ValueError(f"unknown polyhedron kind {kind!r}; options: {sorted(POLYHEDRON_SIZES)}")
+    raise ValueError(f"unknown polyhedron kind {kind!r}; options: {sorted(_POLYHEDRA)}")
 
 
 def reflect_octant(seed: BlochVector | Sequence[BlochVector]) -> tuple[BlochVector, ...]:
@@ -256,10 +249,6 @@ def _named_frame(kind: str) -> Frame:
     """The named frames are immutable, so each is inverted once and shared."""
     vectors = polyhedron_vectors("octahedron" if kind == "cardinal6" else kind)
     return dual_frame(vectors, kind=kind)
-
-
-def cardinal6() -> Frame:
-    return build_frame("cardinal6")
 
 
 def frame_from_json(obj: object) -> Frame:

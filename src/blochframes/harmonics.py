@@ -25,9 +25,6 @@ import numpy as np
 
 from .representations import FOUR_PI, PauliCoefficients, _mode_contract
 
-# column order of the canonical (l <= 1) block
-CANONICAL_LM = ((0, 0), (1, -1), (1, 0), (1, 1))
-
 HoshKey = tuple[tuple[int, int], ...]
 HoshTerm = tuple[HoshKey, complex]
 
@@ -115,7 +112,8 @@ class SphCoefficients:
 
     @functools.cached_property
     def canonical(self) -> np.ndarray:
-        """The dense l <= 1 block, read-only, with per-qubit column order CANONICAL_LM."""
+        """The dense l <= 1 block, read-only, with per-qubit columns (l, m) = (0, 0),
+        (1, -1), (1, 0), (1, 1)."""
         mats = [np.ascontiguousarray(_PAULI_TO_SPH.T)] * self.qubits
         block = _mode_contract(self.pauli.coeffs.astype(complex), mats)
         block.setflags(write=False)
@@ -151,12 +149,6 @@ def sph_coefficients(c: PauliCoefficients) -> SphCoefficients:
     """The unique l <= 1 spherical-harmonic coefficients of the canonical
     expansion function of c, with no HOSH terms."""
     return SphCoefficients(c)
-
-
-def canonical_pauli(s: SphCoefficients) -> PauliCoefficients:
-    """The Pauli tensor of the l <= 1 block (HOSH terms carry no operator
-    content and are ignored)."""
-    return s.pauli
 
 
 def _mirror(key: HoshKey) -> HoshKey:

@@ -3,8 +3,10 @@
 Everything here is a plain numpy computation on matrices of size 2^N x 2^N.
 Qubit ordering is big-endian throughout the package: the first tensor factor
 owns the most significant bit of the computational-basis index.
-"Hermitian" is decided once, by _hermitian, within DEFAULT_VALIDATION_TOL; a
-DenseOperator flagged hermitian=True holds an exactly Hermitian matrix.
+"Hermitian" is decided once: _hermitian_part measures max |A - A^dag| and forms
+the Hermitian part, _hermitian raises on it beyond DEFAULT_VALIDATION_TOL and
+validate_density reports it; a DenseOperator flagged hermitian=True holds an
+exactly Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -85,18 +87,23 @@ def _require_entries(what: str, entries: int, dtype: type = complex) -> None:
         raise ValueError(f"{what} is above the limit of {limit} entries")
 
 
-def _hermitian(m: np.ndarray, what: str = "operator") -> np.ndarray:
-    """m if m = m^dag exactly, else (m + m^dag)/2; raises unless max |m - m^dag| <=
-    DEFAULT_VALIDATION_TOL, written so that a NaN entry fails."""
+def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """(m, 0.0) if m = m^dag exactly, else ((m + m^dag)/2, max |m - m^dag|)."""
     h = m.conj().T
     if np.array_equal(m, h):
-        return m
-    err = float(np.max(np.abs(m - h)))
+        return m, 0.0
+    return 0.5 * (m + h), float(np.max(np.abs(m - h)))
+
+
+def _hermitian(m: np.ndarray, what: str = "operator") -> np.ndarray:
+    """The Hermitian part of m; raises unless max |m - m^dag| <= DEFAULT_VALIDATION_TOL,
+    written so that a NaN entry fails."""
+    part, err = _hermitian_part(m)
     if not err <= DEFAULT_VALIDATION_TOL:
         raise ValueError(
             f"{what} is not Hermitian within {DEFAULT_VALIDATION_TOL:g} (|A - A^dag| = {err:g})"
         )
-    return 0.5 * (m + h)
+    return part
 
 
 def _require_unit(vectors: BlochVector | Sequence[BlochVector]) -> np.ndarray:
@@ -145,9 +152,6 @@ class DenseOperator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
 
 _SIGMA = np.array(
@@ -247,9 +251,8 @@ def validate_density(a: DenseOperator) -> DensityCheck:
     # a NaN entry would pass every comparison below, since each one is False
     if not np.isfinite(a.matrix).all():
         return DensityCheck(False, math.nan, math.nan, math.nan, "non-finite entries")
-    herm = a.hermiticity_error()
+    sym, herm = _hermitian_part(a.matrix)
     tr_err = abs(a.trace() - 1.0)
-    sym = 0.5 * (a.matrix + a.matrix.conj().T)
     lam_min = float(np.linalg.eigvalsh(sym)[0])
     reason = None
     if herm > tol:

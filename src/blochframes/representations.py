@@ -31,7 +31,7 @@ from .operators import (
     _require_unit,
     sigma_stack,
 )
-from .frames import Frame, polyhedron_vectors
+from .frames import Frame, build_frame
 
 FOUR_PI = 4.0 * math.pi
 # worst monomial-moment error up to which a quadrature counts as exact to a degree
@@ -130,6 +130,7 @@ def pauli_to_operator(c: PauliCoefficients) -> DenseOperator:
     """Inverse of pauli_coefficients: rho = 2^-N sum c sigma x ... x sigma, stored
     exactly Hermitian.  The one route from a Pauli tensor to a matrix."""
     n, d = c.qubits, 2**c.qubits
+    _require_entries(f"an operator on {n} qubits (4^{n} entries)", 4**n)
     # sigma_b as column b of a (4, 4) matrix of its flattened (i, j) entries
     t = _mode_contract(c.coeffs, [sigma_stack().reshape(4, 4).T] * n)
     # axes are now (i_1, j_1, ..., i_N, j_N); interleave into row/column blocks
@@ -322,10 +323,8 @@ def sphere_quadrature(kind: str) -> SphereQuadrature:
     """
     if kind not in ("octahedron", "icosahedron"):
         raise ValueError(f"no quadrature registered for {kind!r}")
-    vectors = polyhedron_vectors(kind)
-    nodes = np.array([v.as_array() for v in vectors])
-    weights = np.full(len(vectors), FOUR_PI / len(vectors))
-    return SphereQuadrature(nodes, weights)
+    frame = build_frame(kind)
+    return SphereQuadrature(frame.rows[:, 1:], np.full(frame.size, FOUR_PI / frame.size))
 
 
 def reconstruct_continuous(

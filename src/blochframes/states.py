@@ -200,9 +200,16 @@ class ProductEnsemble:
                 raise ValueError(f"probability {p} lies outside [0, 1]")
             if len(vectors) != self.qubits:
                 raise ValueError(f"term has {len(vectors)} vectors, expected {self.qubits}")
+        count = 3 * len(terms) * self.qubits
+        _require_entries(f"an ensemble of {len(terms)} terms on {self.qubits} qubits", count, float)
         # an exactly rounded sum, so thousands of terms do not drift past the tolerance
         total = math.fsum(p for p, _, _ in terms)
-        vectors = _require_unit([v for _, term_vectors, _ in terms for v in term_vectors])
+        flat = [v for _, term_vectors, _ in terms for v in term_vectors]
+        for v in flat:
+            if len(v) != 3:
+                raise ValueError(f"expected a Bloch vector of three components, got {v!r}")
+        # fromiter over the components: np.array over the vector tuples is ten times slower
+        vectors = _require_unit(np.fromiter(itertools.chain.from_iterable(flat), float, count))
         if not abs(total - 1.0) <= 1e-14:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         vectors.setflags(write=False)
@@ -219,6 +226,8 @@ class ProductEnsemble:
         R hold no more reals than the output matrix while T <= 4^floor(N/2).
         """
         n, t = self.qubits, len(self.terms)
+        # refused here, before the Pauli tensor of half the operator's bytes is built
+        _require_entries(f"the mixture on {n} qubits (4^{n} entries)", 4**n)
         rows = _pauli_rows(self._vectors.reshape(-1, 3)).reshape(t, n, 4)
         lr = [np.array([[p] for p, _, _ in self.terms]), np.ones((t, 1))]  # p L and R
         for k in range(n):  # first qubit most significant
@@ -270,6 +279,8 @@ def cat_ensemble(n: int) -> ProductEnsemble:
     correlations sum to the cat coherence.  The weights sum to eps_N (1 + 2^(N-1)) = 1.
     """
     eps = bound_duer(n)
+    count = 2 + 4 ** (n - 1)
+    _require_entries(f"the cat ensemble on {n} qubits ({count} terms)", 3 * count * n, float)
     terms = [EnsembleTerm(eps / 2, (_axis(3, s),) * n, "poles") for s in (1, -1)]
     for axes, sign in _cat_strings(n):
         label = ",".join("xy"[a - 1] for a in axes)
@@ -319,8 +330,7 @@ def ensemble_to_table(e: ProductEnsemble, frames: Sequence[Frame]) -> Coefficien
     off = np.empty(vectors.shape[:2], dtype=bool)
     for k, f in enumerate(frames):
         # (terms, vertices) distances of every term's vector to every vertex
-        vertices = np.array(f.vectors, dtype=float)
-        dist = np.linalg.norm(vertices[None, :, :] - vectors[:, k, None, :], axis=2)
+        dist = np.linalg.norm(f.rows[None, :, 1:] - vectors[:, k, None, :], axis=2)
         idx[:, k] = np.argmin(dist, axis=1)
         off[:, k] = ~(dist.min(axis=1) <= 1e-12)
     if off.any():

@@ -17,7 +17,6 @@ from blochframes import (
     add_hosh,
     build_frame,
     build_state,
-    cardinal6,
     ensemble_to_table,
     ghz_ensemble,
     pauli_coefficients,
@@ -47,7 +46,7 @@ def report(capsys, number, label, ok, detail=""):
 
 def test_01_cardinal6_duals_closed_form(capsys):
     start = time.perf_counter()
-    frame = cardinal6()
+    frame = build_frame("cardinal6")
     elapsed = time.perf_counter() - start
     sig = sigma_stack()
     worst = 0.0
@@ -81,7 +80,7 @@ def test_03_reconstruction_roundtrips(capsys, rng):
     worst_discrete = 0.0
     worst_continuous = 0.0
     for n in (1, 2, 3):
-        frames = [cardinal6()] * n
+        frames = [build_frame("cardinal6")] * n
         for _ in range(100):
             rho = random_density(rng, n)
             back = reconstruct_discrete(wcan_discrete(rho, frames))
@@ -98,7 +97,7 @@ def test_03_reconstruction_roundtrips(capsys, rng):
 
 
 def test_04_table_entry_lower_bound(capsys, rng):
-    frames = [cardinal6()] * 2
+    frames = [build_frame("cardinal6")] * 2
     lowest = 0.0
     for _ in range(500):
         rho = random_density(rng, 2)

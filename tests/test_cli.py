@@ -298,6 +298,17 @@ def test_min_wcan_refuses_negative_refine(capsys):
     assert err == "error: --refine must be >= 0, got -4\n"
 
 
+@pytest.mark.parametrize("grid", ["5", "0", "-3"])
+def test_min_wcan_refuses_a_grid_below_six(capsys, grid):
+    # a usage error like --refine, not the library's own refusal (exit 3)
+    code, out, err = run_cli(
+        capsys,
+        ["min-wcan", "--state", '{"family": "werner", "epsilon": 0.2}', "--grid", grid],
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --grid must be >= 6, got {grid}\n"
+
+
 def test_refusals_of_mismatched_or_missing_arguments(capsys, tmp_path):
     from blochframes import werner_ensemble
 

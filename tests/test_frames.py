@@ -11,7 +11,6 @@ from blochframes import (
     NonSpanningFrameError,
     bloch_projector,
     build_frame,
-    cardinal6,
     continuous_dual,
     dual_frame,
     frame_check,
@@ -32,7 +31,7 @@ def unit(x, y, z):
 
 
 def test_cardinal6_order_and_duals():
-    f = cardinal6()
+    f = build_frame("cardinal6")
     assert f.kind == "cardinal6"
     assert f.size == 6
     expected_vectors = [
@@ -56,7 +55,7 @@ def gram_eigenvalues(f):
 
 
 def test_cardinal6_gram_spectrum():
-    evs = gram_eigenvalues(cardinal6())
+    evs = gram_eigenvalues(build_frame("cardinal6"))
     assert np.allclose(evs, [1.0, 1.0, 1.0, 3.0], atol=1e-12)
 
 
@@ -259,7 +258,7 @@ def test_named_frames_are_shared_and_read_only():
     cube = build_frame("cube")
     assert build_frame("cube") is cube
     assert frame_from_json({"kind": "cube"}) is cube
-    assert cardinal6() is build_frame("cardinal6")
+    assert build_frame("cardinal6") is build_frame("cardinal6")
     assert polyhedron_vectors("icosahedron") is polyhedron_vectors("icosahedron")
     with pytest.raises(ValueError):
         cube.projectors[0].matrix[0, 0] = 0.0
@@ -395,3 +394,22 @@ def test_named_frame_stacks_are_read_only():
 def test_dual_frame_rejects_nan_vector():
     with pytest.raises(ValueError, match="unit Bloch vector"):
         dual_frame([BlochVector(math.nan, 0.0, 0.0)] + list(polyhedron_vectors("tetrahedron")))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: frame_check([]), "frame_check requires at least one vector"),
+        (lambda: polyhedron_vectors("pentagon"),
+         r"unknown polyhedron kind 'pentagon'; options: \['cube', 'dodecahedron', "
+         r"'icosahedron', 'octahedron', 'tetrahedron'\]"),
+        (lambda: reflect_octant(()), "reflect_octant requires at least one seed vector"),
+        (lambda: build_frame("reflected"), "reflected frames need seed vectors"),
+        (lambda: build_frame("reflected", []), "reflected frames need seed vectors"),
+    ],
+    ids=["frame-check-empty", "unknown-polyhedron", "no-octant-seeds", "reflected-none",
+         "reflected-empty"],
+)
+def test_frames_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

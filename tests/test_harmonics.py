@@ -16,7 +16,6 @@ from blochframes import (
     add_hosh,
     build_frame,
     build_state,
-    canonical_pauli,
     pauli_coefficients,
     reconstruct_continuous,
     sph_coefficients,
@@ -81,14 +80,14 @@ def test_canonical_pauli_roundtrip(rng):
     for n in (1, 2, 3):
         rho = random_density(rng, n)
         c = pauli_coefficients(rho)
-        back = canonical_pauli(sph_coefficients(c))
+        back = sph_coefficients(c).pauli
         assert np.abs(back.coeffs - c.coeffs).max() < 1e-12
 
 
 def test_canonical_pauli_roundtrip_is_exact(rng):
     for n in (1, 2, 3):
         c = pauli_coefficients(random_density(rng, n))
-        assert np.array_equal(canonical_pauli(sph_coefficients(c)).coeffs, c.coeffs)
+        assert np.array_equal(sph_coefficients(c).pauli.coeffs, c.coeffs)
 
 
 def test_add_hosh_preserves_operator(rng):
@@ -99,7 +98,7 @@ def test_add_hosh_preserves_operator(rng):
     # icosahedron integrates degree 5; l = 3 terms need degree 4
     back = reconstruct_continuous(aug, quad)
     assert np.abs(back.matrix - rho.matrix).max() < 1e-10
-    assert canonical_pauli(aug).coeffs == pytest.approx(pauli_coefficients(rho).coeffs, abs=1e-12)
+    assert aug.pauli.coeffs == pytest.approx(pauli_coefficients(rho).coeffs, abs=1e-12)
 
 
 def test_add_hosh_changes_pointwise_values(rng):
@@ -207,6 +206,9 @@ def test_constructor_enforces_hosh_terms():
         SphCoefficients(c, ((((1, 0),), 1.0),))
     with pytest.raises(ValueError, match="reality pairing"):
         SphCoefficients(c, ((((2, 1),), 0.3),))
+    for l, m in ((-1, 0), (2, 3), (2, -3)):
+        with pytest.raises(ValueError, match=rf"invalid harmonic index \(l={l}, m={m}\)"):
+            SphCoefficients(c, ((((l, m),), 0.3),))
     s = SphCoefficients(c, ((((2, 0),), 0.25), (((2, 0),), 0.25), (((3, 0),), 0.0)))
     assert s.hosh == ((((2, 0),), 0.5 + 0j),)
 

@@ -119,6 +119,16 @@ def test_dense_operator_validation():
         DenseOperator(np.eye(4), 1)
     with pytest.raises(ValueError):
         DenseOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1, hermitian=True)
+    with pytest.raises(ValueError, match=r"must be square, got shape \(2, 4\)"):
+        DenseOperator(np.ones((2, 4)), 1)
+    with pytest.raises(ValueError, match="must be square"):
+        DenseOperator(np.ones(4), 2)
+    with pytest.raises(ValueError, match="qubit count must be at least 1"):
+        DenseOperator(np.eye(1), 0)
+    with pytest.raises(ValueError, match="tensor requires at least one factor"):
+        tensor([])
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 4"):
+        trace_inner(pauli(0), DenseOperator(np.eye(4), 2))
 
 
 def test_dense_operator_matrix_write_protected():

@@ -13,6 +13,7 @@ from blochframes import (
     CoefficientTable,
     DenseOperator,
     PauliCoefficients,
+    SphereQuadrature,
     StateSpec,
     bloch_projector,
     build_frame,
@@ -537,3 +538,29 @@ def test_node_values_match_scaled_copy_bit_for_bit(rng, n):
     mats = [_pauli_rows(x, 1.0 / 3.0) for x in nodes]
     former = (3.0 / FOUR_PI) ** n * _mode_contract(c.coeffs, mats)
     assert c.node_values(nodes).tobytes() == former.tobytes()
+
+
+_WERNER = pauli_coefficients(build_state(StateSpec("werner", epsilon=0.2)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PauliCoefficients(2, np.zeros((4, 4, 4))), r"must have shape \(4, 4\)"),
+        (lambda: _WERNER.node_values([np.eye(3)]), "need one node array per qubit"),
+        (lambda: PauliCoefficients.from_dict({"n": 2, "coeffs": {"04": 1.0}}),
+         "bad coefficient index '04' for 2 qubits"),
+        (lambda: PauliCoefficients.from_dict({"n": 2, "coeffs": {"000": 1.0}}),
+         "bad coefficient index '000' for 2 qubits"),
+        (lambda: SphereQuadrature(np.zeros((4, 2)), np.ones(4)), r"needs \(K, 3\) nodes and K weights"),
+        (lambda: SphereQuadrature(np.zeros((4, 3)), np.ones(3)), r"needs \(K, 3\) nodes and K weights"),
+        (lambda: sphere_quadrature("cube"), "no quadrature registered for 'cube'"),
+        (lambda: reconstruct_continuous(_WERNER, [sphere_quadrature("icosahedron")] * 3),
+         "expected 2 quadratures, got 3"),
+    ],
+    ids=["tensor-shape", "node-arrays", "index-digit", "index-length", "quadrature-nodes",
+         "quadrature-weights", "quadrature-kind", "quadrature-count"],
+)
+def test_representations_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from blochframes import (
     frame_to_json,
     ghz_ensemble,
     pauli_coefficients,
+    pauli_to_operator,
     tensor,
     validate_density,
     werner_ensemble,
@@ -247,6 +249,10 @@ def test_ensemble_validation():
         ProductEnsemble(1, (EnsembleTerm(0.5, (z,)), EnsembleTerm(0.5 + 1e-13, (z,))))
     with pytest.raises(ValueError):
         ProductEnsemble(1, (EnsembleTerm(1e308, (z,)),) * 2)  # would overflow the sum
+    # the components are read as one flat run, so each vector's count is checked first
+    for bad in (((0, 0, 1, 0), (0, 1)), ((0, 0, 1, 0),) * 3):
+        with pytest.raises(ValueError, match="three components"):
+            ProductEnsemble(len(bad), (EnsembleTerm(1.0, bad),))
 
 
 @pytest.mark.parametrize("t", [731, 2187, 3000, 6561])
@@ -457,3 +463,62 @@ def test_ensemble_to_table_refuses_an_oversized_table():
     with pytest.raises(ValueError, match="table of 10077696 entries is above the limit of 2097152"):
         north_table(9)
     assert north_table(8).total() == 1.0
+
+
+def test_ensemble_vectors_read_as_the_vector_tuples_do():
+    e = cat_ensemble(4)
+    expected = np.array([t.vectors for t in e.terms], dtype=float)
+    assert e._vectors.tobytes() == expected.tobytes()
+    assert e._vectors.shape == (len(e.terms), 4, 3) and not e._vectors.flags.writeable
+
+
+def _peak_bytes(call):
+    """The ValueError call raises and the tracemalloc peak it reached."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            call()
+        return str(err.value), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eleven_qubit_operators_are_refused_before_they_are_built():
+    # a 2048 x 2048 complex matrix is 64 MiB; the refusal allocates next to nothing
+    north = ProductEnsemble(11, (EnsembleTerm(1.0, (BlochVector(0.0, 0.0, 1.0),) * 11),))
+    message, peak = _peak_bytes(north.mixture)
+    assert message == "the mixture on 11 qubits (4^11 entries) is above the limit of 1048576 entries"
+    assert peak < 1 << 20
+    c = PauliCoefficients(11, np.zeros((4,) * 11))
+    message, peak = _peak_bytes(lambda: pauli_to_operator(c))
+    assert message == "an operator on 11 qubits (4^11 entries) is above the limit of 1048576 entries"
+    assert peak < 1 << 20
+
+
+def test_ensembles_beyond_the_size_budget_are_refused():
+    # 3 T N floats: cat_ensemble(10) would hold 7,864,380, refused before its loops
+    message, peak = _peak_bytes(lambda: cat_ensemble(10))
+    assert message == (
+        "the cat ensemble on 10 qubits (262146 terms) is above the limit of 2097152 entries"
+    )
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="ensemble of 1 terms on 699051 qubits is above the limit"):
+        ProductEnsemble(699051, (EnsembleTerm(1.0, (BlochVector(0.0, 0.0, 1.0),) * 699051),))
+    # 1,769,526 floats fit
+    assert len(cat_ensemble(9).terms) == 2 + 4**8
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_state(StateSpec("custom_matrix", qubits=2)), "custom_matrix needs an explicit matrix"),
+        (lambda: dilute_with_mixed(werner_ensemble(), 1.5), r"weight must lie in \[0, 1\]"),
+        (lambda: dilute_with_mixed(werner_ensemble(), math.nan), r"weight must lie in \[0, 1\]"),
+        (lambda: ensemble_to_table(werner_ensemble(), [build_frame("cardinal6")]),
+         "expected 2 frames, got 1"),
+    ],
+    ids=["custom-without-matrix", "dilution-1.5", "dilution-nan", "frame-count"],
+)
+def test_states_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .frames import Frame, build_frame, frame_from_json
-from .minimize import minimize_wcan, threshold_search
+from .minimize import _threshold, minimize_wcan, threshold_search
 from .operators import RECONSTRUCTION_TOL, SIGN_TOL, _deviation
 from .representations import PauliCoefficients, pauli_coefficients, wcan_discrete
 from .separability import ppt_min_eigenvalue, witness_ghz, witness_werner
@@ -232,13 +232,15 @@ def cmd_min_wcan(args) -> int:
         "refine": args.refine,
     }
     if args.threshold_search:
-        # the family at eps = 1; families that fix eps, and custom matrices, ignore it
-        pure = c
-        if spec.epsilon is not None:
+        # the family at eps = 1; families that fix eps, and custom matrices, ignore
+        # it, so without one the target is the state just minimized
+        if spec.epsilon is None:
+            payload["threshold"] = _threshold(c, result.value)
+        else:
             pure = pauli_coefficients(build_state(dataclasses.replace(spec, epsilon=1.0)))
-        payload["threshold"] = threshold_search(
-            pure, grid_per_sphere=args.grid, refine_iters=args.refine
-        )
+            payload["threshold"] = threshold_search(
+                pure, grid_per_sphere=args.grid, refine_iters=args.refine
+            )
     _emit(args, payload)
     return EXIT_OK
 

@@ -8,7 +8,8 @@ evaluates the relevant candidates exactly.  For generic states the best grid
 point is then polished by rounds of exact coordinate steps and one Newton step
 on the product of spheres: with every qubit but k fixed the function is
 a + b . n_k, whose minimum over the unit sphere is a - |b| at n_k = -b/|b|, and
-its second derivatives are tensor contractions too.  The Newton step makes the
+one tensor contraction gives every qubit's b and the second derivatives
+at once.  The Newton step makes the
 descent converge in a few rounds for every state, where coordinate steps alone
 crawl along flat valleys.  The function is affine in the mixing weight with
 the identity too, so the separability threshold follows from one
@@ -39,8 +40,6 @@ _MAX_HALVINGS = 8
 _CURVATURE_FLOOR = 1e-12
 # Newton steps predicted to gain less than this share of |w| are not tried
 _GAIN_FLOOR = 1e-15
-# the rows e_x, e_y, e_z that pick the Bloch components out of one axis
-_AXES = np.eye(4)[1:]
 
 
 def _rings(count: int) -> tuple[int, int]:
@@ -103,38 +102,60 @@ class MinimizeResult(NamedTuple):
     grid_used: int  # points per sphere actually scanned, after budget thinning
 
 
-def _slope(c: PauliCoefficients, vecs: np.ndarray, k: int) -> np.ndarray:
-    """A positive multiple of b, where w = a + b . n_k while every other qubit
-    stays at vecs; the weights (1/3, n_j) are those of node_values."""
-    mats = list(_pauli_rows(vecs, 1.0 / 3.0)[:, None, :])
-    mats[k] = _AXES
-    return _mode_contract(c.coeffs, mats).reshape(3)
+class _Layout(NamedTuple):
+    """Where the round's contraction keeps the derivatives of w, for N qubits:
+    read-only and cached per N."""
+
+    place: np.ndarray  # flat index of component a of qubit k, rows (k, a)
+    same: np.ndarray  # (3N, 3N) mask of the pairs of rows on one qubit
+    pairs: np.ndarray  # flat index of each cross entry; 0 on same-qubit pairs
+    eye: np.ndarray  # the identity on the 3N rows
+    axes: np.ndarray  # (N, 4, 4) identity stack, one contraction matrix per axis
 
 
-def _newton_move(coeffs: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Newton displacement of every n_k at once, tangent to the spheres, and
-    the decrease its linear part predicts, both for w / (3 / 4 pi)^N.
-
-    Contracting axis j of the tensor with the rows (1/3, n_j), e_x, e_y, e_z
-    gives at once the slopes b_k (one index nonzero, the others 0) and, w
-    being affine in each n_k, its only second derivatives: the cross blocks
-    (two indices nonzero).  On the unit spheres each qubit adds -(n_k . b_k)
-    on its tangent plane.  Curvatures enter by absolute value, so the move
-    points downhill near saddles too; the normal directions get curvature 1
-    and no gradient, so the move has no normal part.
-    """
-    n = len(vecs)
-    mats = np.tile(np.eye(4), (n, 1, 1))
-    mats[:, 0] = _pauli_rows(vecs, 1.0 / 3.0)
-    flat = _mode_contract(coeffs, mats).reshape(-1)
-    # flat index of component a of qubit k, for the 3N rows (k, a)
+# one entry per qubit count, and a PauliCoefficients has at most 10 qubits
+@functools.lru_cache(maxsize=10)
+def _layout(n: int) -> _Layout:
     place = (4 ** np.arange(n - 1, -1, -1)[:, None] * np.arange(1, 4)).reshape(-1)
     qubit = np.repeat(np.arange(n), 3)
     same = qubit[:, None] == qubit[None, :]
-    slopes = flat[place]
-    cross = np.where(same, 0.0, flat[place[:, None] + np.where(same, 0, place[None, :])])
-    normal = np.where(same, np.outer(vecs, vecs), 0.0)
-    tangent = np.eye(3 * n) - normal
+    pairs = place[:, None] + np.where(same, 0, place[None, :])
+    layout = _Layout(place, same, pairs, np.eye(3 * n), np.tile(np.eye(4), (n, 1, 1)))
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
+def _derivatives(coeffs: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slopes b_k of every qubit as 3N rows (k, a), and the (3N, 3N) cross
+    blocks, both for w / (3 / 4 pi)^N at vecs, from one contraction.
+
+    Contracting axis j of the tensor with the rows (1/3, n_j), e_x, e_y, e_z
+    gives at once the slopes (one index nonzero, the others 0) and, w being
+    affine in each n_k, its only second derivatives: the cross blocks (two
+    indices nonzero).  The weights (1/3, n_j) are those of node_values.
+    """
+    layout = _layout(len(vecs))
+    mats = layout.axes.copy()
+    mats[:, 0] = _pauli_rows(vecs, 1.0 / 3.0)
+    flat = _mode_contract(coeffs, mats).reshape(-1)
+    return flat[layout.place], np.where(layout.same, 0.0, flat[layout.pairs])
+
+
+def _newton_move(vecs: np.ndarray, slopes: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, float]:
+    """Newton displacement of every n_k at once, tangent to the spheres, and
+    the decrease its linear part predicts, both for w / (3 / 4 pi)^N, from
+    the _derivatives at vecs.
+
+    On the unit spheres each qubit adds -(n_k . b_k) on its tangent plane.
+    Curvatures enter by absolute value, so the move points downhill near
+    saddles too; the normal directions get curvature 1 and no gradient, so
+    the move has no normal part.
+    """
+    n = len(vecs)
+    layout = _layout(n)
+    normal = np.where(layout.same, np.outer(vecs, vecs), 0.0)
+    tangent = layout.eye - normal
     sphere = np.repeat(-np.einsum("ki,ki->k", vecs, slopes.reshape(n, 3)), 3)
     hess = tangent @ cross @ tangent + sphere[:, None] * tangent + normal
     curvature, modes = np.linalg.eigh(hess)
@@ -154,9 +175,11 @@ def minimize_wcan(
     (halved while it does not lower the value), starting at the best grid
     point and keeping a step only if its evaluated value is strictly lower,
     until a whole round lowers nothing; refine_iters == 0 reports the grid
-    minimum.  Deterministic for fixed parameters; on value ties the
-    lexicographically smallest grid multi-index wins.  The result is always
-    an evaluated point, so it upper-bounds the true minimum.
+    minimum.  Every slope and the Newton step's cross blocks come from one
+    contraction at the current point, made again only after a kept step.
+    Deterministic for fixed parameters; on value ties the lexicographically
+    smallest grid multi-index wins.  The result is always an evaluated
+    point, so it upper-bounds the true minimum.
 
     grid_ties lists the grid configurations (as (theta, phi) per qubit) whose
     scanned value ties the grid minimum within 1e-12, capped at 24 entries.
@@ -185,11 +208,14 @@ def minimize_wcan(
 
     scale = (3.0 / FOUR_PI) ** n
     vecs = nodes[list(np.unravel_index(best_flat, shape))]
-    for _ in range(_MAX_SWEEPS if refine_iters > 0 else 0):
+    rounds = _MAX_SWEEPS if refine_iters > 0 else 0
+    if rounds:
+        slopes, cross = _derivatives(c.coeffs, vecs)
+    for _ in range(rounds):
         lowered = False
         for k in range(n):
-            b = _slope(c, vecs, k)
-            norm = float(np.linalg.norm(b))
+            b = slopes[3 * k : 3 * k + 3]
+            norm = math.sqrt(b @ b)
             if norm == 0.0:
                 continue
             trial = vecs.copy()
@@ -197,7 +223,8 @@ def minimize_wcan(
             trial_value = evaluate(trial)
             if trial_value < value:
                 vecs, value, lowered = trial, trial_value, True
-        move, gain = _newton_move(c.coeffs, vecs) if n > 1 else (None, 0.0)
+                slopes, cross = _derivatives(c.coeffs, vecs)
+        move, gain = _newton_move(vecs, slopes, cross) if n > 1 else (None, 0.0)
         # a step whose predicted gain is below rounding cannot lower w
         for halvings in range(_MAX_HALVINGS if scale * gain > _GAIN_FLOOR * abs(value) else 0):
             trial = vecs + move * 0.5**halvings
@@ -205,6 +232,7 @@ def minimize_wcan(
             trial_value = evaluate(trial)
             if trial_value < value:
                 vecs, value, lowered = trial, trial_value, True
+                slopes, cross = _derivatives(c.coeffs, vecs)
                 break
         if not lowered:
             break
@@ -238,9 +266,13 @@ def threshold_search(
     families; for generic states it is an upper estimate at the given grid
     resolution.
     """
+    return _threshold(pure, minimize_wcan(pure, grid_per_sphere, refine_iters).value)
+
+
+def _threshold(pure: PauliCoefficients, m: float) -> float:
+    """threshold_search's closed form from the minimum m of w_pure."""
     u = FOUR_PI ** -pure.qubits
     c0 = float(pure.coeffs[(0,) * pure.qubits])
-    m = minimize_wcan(pure, grid_per_sphere, refine_iters).value
     if u + m - c0 * u >= 0.0:
         return 1.0
     return u / (c0 * u - m)

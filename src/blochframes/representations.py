@@ -55,6 +55,10 @@ def _mode_contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.nda
     return out.reshape([m.shape[0] for m in matrices])
 
 
+def _require_pauli_entries(n: int) -> None:
+    _require_entries(f"Pauli coefficients on {n} qubits (4^{n} entries)", 4 ** min(n, 64))
+
+
 @dataclass(frozen=True, eq=False)
 class PauliCoefficients:
     """Real tensor c with c[a1, ..., aN] = tr(rho sigma_a1 x ... x sigma_aN)."""
@@ -65,6 +69,8 @@ class PauliCoefficients:
     def __post_init__(self) -> None:
         if self.qubits < 1:
             raise ValueError("qubit count must be at least 1")
+        # refused before the tensor is copied
+        _require_pauli_entries(self.qubits)
         c = np.array(self.coeffs, dtype=float)
         if c.shape != (4,) * self.qubits:
             raise ValueError(f"coefficient tensor must have shape {(4,) * self.qubits}")
@@ -100,7 +106,7 @@ class PauliCoefficients:
     @classmethod
     def from_dict(cls, data: dict) -> "PauliCoefficients":
         n = _json_number("qubit count", data["n"], int)
-        _require_entries(f"Pauli coefficients on {n} qubits (4^{n} entries)", 4 ** min(n, 64))
+        _require_pauli_entries(n)
         c = np.zeros((4,) * n)
         for key, value in dict(data.get("coeffs", {})).items():
             if len(key) != n or any(ch not in "0123" for ch in key):
@@ -130,7 +136,6 @@ def pauli_to_operator(c: PauliCoefficients) -> DenseOperator:
     """Inverse of pauli_coefficients: rho = 2^-N sum c sigma x ... x sigma, stored
     exactly Hermitian.  The one route from a Pauli tensor to a matrix."""
     n, d = c.qubits, 2**c.qubits
-    _require_entries(f"an operator on {n} qubits (4^{n} entries)", 4**n)
     # sigma_b as column b of a (4, 4) matrix of its flattened (i, j) entries
     t = _mode_contract(c.coeffs, [sigma_stack().reshape(4, 4).T] * n)
     # axes are now (i_1, j_1, ..., i_N, j_N); interleave into row/column blocks

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .operators import BlochVector, DenseOperator, _pauli_rows, _require_unit, validate_density
-from .operators import _json_number, _json_vector, _require_entries
+from .operators import MAX_ENTRIES, _json_number, _json_vector, _require_entries
 from .frames import Frame
 from .representations import CoefficientTable, PauliCoefficients, pauli_to_operator
 
@@ -222,18 +222,27 @@ class ProductEnsemble:
         P(n) = 2^-1 (1, n).sigma, so the mixture's Pauli tensor is
         sum_t p_t (1, n_t1) x ... x (1, n_tN).  With L the (T, 4^floor(N/2))
         row products over the first floor(N/2) qubits and R the
-        (T, 4^ceil(N/2)) ones over the rest, that tensor is (p L)^T R.  L and
-        R hold no more reals than the output matrix while T <= 4^floor(N/2).
+        (T, 4^ceil(N/2)) ones over the rest, that tensor is (p L)^T R, summed
+        over blocks of terms whose L and R hold at most 2 MAX_ENTRIES reals,
+        the byte budget; an ensemble of one block is one matrix product.
         """
         n, t = self.qubits, len(self.terms)
         # refused here, before the Pauli tensor of half the operator's bytes is built
         _require_entries(f"the mixture on {n} qubits (4^{n} entries)", 4**n)
         rows = _pauli_rows(self._vectors.reshape(-1, 3)).reshape(t, n, 4)
-        lr = [np.array([[p] for p, _, _ in self.terms]), np.ones((t, 1))]  # p L and R
-        for k in range(n):  # first qubit most significant
-            side = int(k >= n // 2)
-            lr[side] = (lr[side][:, :, None] * rows[:, k, None, :]).reshape(t, -1)
-        c = lr[0].T @ lr[1]
+        probabilities = np.array([[p] for p, _, _ in self.terms])
+        block = max(1, 2 * MAX_ENTRIES // (4 ** (n // 2) + 4 ** (n - n // 2)))
+        c = None
+        for start in range(0, t, block):
+            part = rows[start : start + block]
+            lr = [probabilities[start : start + block], np.ones((len(part), 1))]  # p L and R
+            for k in range(n):  # first qubit most significant
+                side = int(k >= n // 2)
+                lr[side] = (lr[side][:, :, None] * part[:, k, None, :]).reshape(len(part), -1)
+            if c is None:
+                c = lr[0].T @ lr[1]
+            else:
+                c += lr[0].T @ lr[1]
         return pauli_to_operator(PauliCoefficients(n, c.reshape((4,) * n)))
 
     def to_json(self) -> dict:

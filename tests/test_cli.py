@@ -265,6 +265,33 @@ def test_min_wcan_threshold_search(capsys):
         assert abs(json.loads(out)["threshold"] - expected) < 1e-12, state
 
 
+def test_min_wcan_threshold_search_minimizes_its_own_target_once(capsys, monkeypatch):
+    import blochframes.cli as cli
+    import blochframes.minimize as minimize
+
+    calls = []
+    minimize_wcan = minimize.minimize_wcan
+    for module in (cli, minimize):
+        monkeypatch.setattr(module, "minimize_wcan", lambda *a, **k: calls.append(1) or minimize_wcan(*a, **k))
+    werner_half = [[0.375, 0, 0, 0.25], [0, 0.125, 0, 0], [0, 0, 0.125, 0], [0.25, 0, 0, 0.375]]
+    for state, minimizations in [
+        ({"family": "custom_matrix", "matrix": werner_half}, 1),
+        ({"family": "cat", "n": 3}, 1),
+        ({"family": "maximally_mixed", "n": 2}, 1),
+        ({"family": "eps_cat", "n": 3, "epsilon": 0.2}, 2),
+    ]:
+        calls.clear()
+        argv = ["min-wcan", "--state", json.dumps(state), "--grid", "12", "--threshold-search"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, state
+        assert len(calls) == minimizations, state
+        # the report is the one a second minimization of the target gives
+        report = json.loads(out)
+        pure = state if state["family"] == "custom_matrix" else {**state, "epsilon": 1.0}
+        c = pauli_coefficients(build_state(StateSpec.from_json(pure)))
+        assert report["threshold"] == cli.threshold_search(c, grid_per_sphere=12, refine_iters=3)
+
+
 def test_min_wcan_threshold_search_seven_qubits(capsys):
     # the scan self-thins to stay within budget; poles and the anti-phased
     # equator configurations survive, so the threshold stays exact

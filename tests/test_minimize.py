@@ -17,7 +17,8 @@ from blochframes import (
     threshold_search,
     wcan_continuous,
 )
-from blochframes.minimize import SCAN_BUDGET, _cached_scan_grid, _scan_count, _slope
+import blochframes.minimize as minimize
+from blochframes.minimize import SCAN_BUDGET, _cached_scan_grid, _derivatives, _scan_count, _threshold
 from blochframes.operators import _pauli_rows
 from blochframes.representations import _mode_contract
 from conftest import random_density
@@ -360,8 +361,6 @@ def test_refinement_takes_few_rounds(rng, monkeypatch):
     # coordinate steps alone crawl along flat valleys, up to hundreds of
     # sweeps; with the Newton step every seeded state converges in a few
     # rounds, so the cost of a solve hardly depends on the state
-    import blochframes.minimize as minimize
-
     rounds = []
     newton_move = minimize._newton_move
 
@@ -378,16 +377,131 @@ def test_refinement_takes_few_rounds(rng, monkeypatch):
     assert max(rounds) <= 12
 
 
+def _random_vectors(rng, n):
+    vecs = rng.normal(size=(n, 3))
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
 def test_slope_matches_node_value_differences(rng):
     # w is affine in n_k, so with the other qubits fixed its slope along e_a is
-    # w(n_k = e_a) - w(n_k = 0); _slope returns it over the (3 / 4 pi)^N scale
+    # w(n_k = e_a) - w(n_k = 0); _derivatives returns it over the (3 / 4 pi)^N scale
     for n in (1, 2, 3, 4):
         c = pauli_coefficients(random_density(rng, n))
-        vecs = rng.normal(size=(n, 3))
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        vecs = _random_vectors(rng, n)
+        slopes, _ = _derivatives(c.coeffs, vecs)
         for k in range(n):
             nodes = [v[None, :] for v in vecs]
             nodes[k] = np.vstack([np.zeros(3), np.eye(3)])
             values = c.node_values(nodes).reshape(4)
             scale = (3.0 / FOUR_PI) ** n
-            assert np.abs(_slope(c, vecs, k) - (values[1:] - values[0]) / scale).max() < 1e-12
+            assert np.abs(slopes[3 * k : 3 * k + 3] - (values[1:] - values[0]) / scale).max() < 1e-12
+
+
+def test_cross_blocks_match_second_differences(rng):
+    # w is affine in each n_k, so its second derivative along (n_k)_a and
+    # (n_l)_b is the mixed difference of w over n_k in {0, e_a} and n_l in
+    # {0, e_b}, and it is 0 on one qubit
+    probes = np.vstack([np.zeros(3), np.eye(3)])
+    for n in (1, 2, 3, 4):
+        c = pauli_coefficients(random_density(rng, n))
+        vecs = _random_vectors(rng, n)
+        _, cross = _derivatives(c.coeffs, vecs)
+        assert cross.shape == (3 * n, 3 * n)
+        scale = (3.0 / FOUR_PI) ** n
+        for k in range(n):
+            assert not cross[3 * k : 3 * k + 3, 3 * k : 3 * k + 3].any()
+            for l in range(k + 1, n):
+                nodes = [v[None, :] for v in vecs]
+                nodes[k] = nodes[l] = probes
+                values = c.node_values(nodes).reshape(4, 4)
+                second = values[1:, 1:] - values[1:, :1] - values[:1, 1:] + values[0, 0]
+                block = cross[3 * k : 3 * k + 3, 3 * l : 3 * l + 3]
+                assert np.abs(block - second / scale).max() < 1e-12
+                assert np.array_equal(cross[3 * l : 3 * l + 3, 3 * k : 3 * k + 3], block.T)
+
+
+def test_derivative_layouts_are_cached_read_only():
+    layout = minimize._layout(3)
+    assert minimize._layout(3) is layout
+    assert all(not a.flags.writeable for a in layout)
+    assert minimize._layout.cache_info().maxsize == 10
+
+
+def _former_minimum(c, grid, refine_iters):
+    """minimize_wcan's value as its refinement was before one contraction
+    served a whole round: a contraction per qubit for the slopes, and the
+    Newton step's own, with its index arrays built on every call."""
+    n = c.qubits
+    scan = minimize_wcan(c, grid, 0)
+
+    def slope(vecs, k):
+        mats = list(_pauli_rows(vecs, 1.0 / 3.0)[:, None, :])
+        mats[k] = np.eye(4)[1:]
+        return _mode_contract(c.coeffs, mats).reshape(3)
+
+    def newton_move(vecs):
+        mats = np.tile(np.eye(4), (n, 1, 1))
+        mats[:, 0] = _pauli_rows(vecs, 1.0 / 3.0)
+        flat = _mode_contract(c.coeffs, mats).reshape(-1)
+        place = (4 ** np.arange(n - 1, -1, -1)[:, None] * np.arange(1, 4)).reshape(-1)
+        qubit = np.repeat(np.arange(n), 3)
+        same = qubit[:, None] == qubit[None, :]
+        slopes = flat[place]
+        cross = np.where(same, 0.0, flat[place[:, None] + np.where(same, 0, place[None, :])])
+        normal = np.where(same, np.outer(vecs, vecs), 0.0)
+        tangent = np.eye(3 * n) - normal
+        sphere = np.repeat(-np.einsum("ki,ki->k", vecs, slopes.reshape(n, 3)), 3)
+        hess = tangent @ cross @ tangent + sphere[:, None] * tangent + normal
+        curvature, modes = np.linalg.eigh(hess)
+        curvature = np.maximum(np.abs(curvature), minimize._CURVATURE_FLOOR * np.abs(curvature).max())
+        grad = tangent @ slopes
+        move = -(modes @ ((modes.T @ grad) / curvature))
+        return move.reshape(n, 3), float(-grad @ move)
+
+    def evaluate(trial):
+        return float(c.node_values(trial[:, None, :]).reshape(()))
+
+    scale = (3.0 / FOUR_PI) ** n
+    vecs, value = np.array(scan.argmin), scan.value
+    for _ in range(minimize._MAX_SWEEPS if refine_iters > 0 else 0):
+        lowered = False
+        for k in range(n):
+            b = slope(vecs, k)
+            norm = float(np.linalg.norm(b))
+            if norm == 0.0:
+                continue
+            trial = vecs.copy()
+            trial[k] = -b / norm
+            trial_value = evaluate(trial)
+            if trial_value < value:
+                vecs, value, lowered = trial, trial_value, True
+        move, gain = newton_move(vecs) if n > 1 else (None, 0.0)
+        for halvings in range(minimize._MAX_HALVINGS if scale * gain > minimize._GAIN_FLOOR * abs(value) else 0):
+            trial = vecs + move * 0.5**halvings
+            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+            trial_value = evaluate(trial)
+            if trial_value < value:
+                vecs, value, lowered = trial, trial_value, True
+                break
+        if not lowered:
+            break
+    return value
+
+
+def test_refinement_matches_the_former_loop(rng):
+    # one contraction per round changes only the order in which the slopes are summed
+    for n in (1, 2, 3, 4):
+        for grid, refine in ((6, 1), (12, 1), (24, 3), (25, 3)):
+            c = pauli_coefficients(random_density(rng, n))
+            res = minimize_wcan(c, grid, refine)
+            former = _former_minimum(c, grid, refine)
+            assert abs(res.value - former) <= 1e-15 * abs(former), (n, grid)
+            assert res.grid_ties == _former_ties(c, grid)
+        for grid in (6, 7, 12, 24, 25):
+            pure = pauli_coefficients(build_state(StateSpec("cat", qubits=n)))
+            assert threshold_search(pure, grid, 3) == _threshold(pure, _former_minimum(pure, grid, 3))
+            for epsilon in (0.05, 0.3):
+                c = pauli_coefficients(build_state(StateSpec("eps_cat", qubits=n, epsilon=epsilon)))
+                res = minimize_wcan(c, grid, 3)
+                assert abs(res.value - _former_minimum(c, grid, 3)) <= 1e-15 * abs(res.value)
+                assert res.grid_ties == _former_ties(c, grid)

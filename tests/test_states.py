@@ -18,6 +18,7 @@ from blochframes import (
     bloch_projector,
     build_state,
     cat_ensemble,
+    certify,
     cat_state_vector,
     PauliCoefficients,
     dilute_with_mixed,
@@ -31,6 +32,7 @@ from blochframes import (
     validate_density,
     werner_ensemble,
 )
+import blochframes.states as states
 from blochframes.frames import FRAME_KINDS
 from blochframes.operators import RECONSTRUCTION_TOL
 from conftest import random_density
@@ -483,15 +485,47 @@ def _peak_bytes(call):
         tracemalloc.stop()
 
 
+def test_cat_ensemble_mixes_within_the_byte_budget():
+    # 16,386 terms on 8 qubits: their row products in one piece held 67 MB
+    e = cat_ensemble(8)
+    tracemalloc.start()
+    try:
+        e.mixture()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+    target = build_state(StateSpec("eps_cat", qubits=8, epsilon=bound_duer(8)))
+    assert certify(target, e).verdict == "separable"
+
+
+def test_mixture_blocks_sum_to_the_one_product(monkeypatch):
+    e = cat_ensemble(5)
+    # the 258 terms in one block: the Pauli tensor is (p L)^T R itself
+    rows = np.array([[(1.0, *v) for v in vectors] for _, vectors, _ in e.terms])
+    left = np.array([p for p, _, _ in e.terms])[:, None]
+    right = np.ones((len(e.terms), 1))
+    for k in range(2):
+        left = (left[:, :, None] * rows[:, k, None, :]).reshape(len(e.terms), -1)
+    for k in range(2, 5):
+        right = (right[:, :, None] * rows[:, k, None, :]).reshape(len(e.terms), -1)
+    one = pauli_to_operator(PauliCoefficients(5, (left.T @ right).reshape((4,) * 5))).matrix
+    assert np.array_equal(e.mixture().matrix, one)
+    # 4^2 + 4^3 reals per term: a budget of 2 x 320 reals is blocks of 8 terms
+    monkeypatch.setattr(states, "MAX_ENTRIES", 320)
+    assert np.abs(e.mixture().matrix - one).max() <= 1e-15
+
+
 def test_eleven_qubit_operators_are_refused_before_they_are_built():
     # a 2048 x 2048 complex matrix is 64 MiB; the refusal allocates next to nothing
     north = ProductEnsemble(11, (EnsembleTerm(1.0, (BlochVector(0.0, 0.0, 1.0),) * 11),))
     message, peak = _peak_bytes(north.mixture)
     assert message == "the mixture on 11 qubits (4^11 entries) is above the limit of 1048576 entries"
     assert peak < 1 << 20
-    c = PauliCoefficients(11, np.zeros((4,) * 11))
-    message, peak = _peak_bytes(lambda: pauli_to_operator(c))
-    assert message == "an operator on 11 qubits (4^11 entries) is above the limit of 1048576 entries"
+    # pauli_to_operator's one input: refused before its 32 MiB tensor is copied
+    coeffs = np.zeros((4,) * 11)
+    message, peak = _peak_bytes(lambda: PauliCoefficients(11, coeffs))
+    assert message == "Pauli coefficients on 11 qubits (4^11 entries) is above the limit of 1048576 entries"
     assert peak < 1 << 20
 
 

@@ -23,7 +23,6 @@ does not take, or a state too large to build), 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -39,6 +38,7 @@ from .operators import RECONSTRUCTION_TOL, SIGN_TOL, _deviation
 from .representations import PauliCoefficients, pauli_coefficients, wcan_discrete
 from .separability import ppt_min_eigenvalue, witness_ghz, witness_werner
 from .states import (
+    _MIXTURES,
     ProductEnsemble,
     StateSpec,
     bound_cat,
@@ -209,6 +209,19 @@ def cmd_verify_ensemble(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
+# the families whose states differ in eps; the others and custom_matrix fix or ignore it
+_EPSILON_FAMILIES = frozenset(family for family, (_, eps) in _MIXTURES.items() if eps is None)
+
+
+@functools.lru_cache(maxsize=64)
+def _family_threshold(family: str, n: int, grid: int, refine: int) -> float:
+    """threshold_search of the family's state on n qubits at eps = 1.  That target
+    is the same at every eps, so each key is minimized once per process; the
+    module's threshold_search is looked up at call time."""
+    pure = pauli_coefficients(build_state(StateSpec(family, n, 1.0)))
+    return threshold_search(pure, grid_per_sphere=grid, refine_iters=refine)
+
+
 def cmd_min_wcan(args) -> int:
     if args.grid < 6:
         raise _InputError(f"--grid must be >= 6, got {args.grid}")
@@ -232,15 +245,12 @@ def cmd_min_wcan(args) -> int:
         "refine": args.refine,
     }
     if args.threshold_search:
-        # the family at eps = 1; families that fix eps, and custom matrices, ignore
-        # it, so without one the target is the state just minimized
-        if spec.epsilon is None:
+        # the target is the family at eps = 1, which is the state just minimized
+        # unless an eps-family is given another eps
+        if spec.epsilon in (None, 1.0) or spec.family not in _EPSILON_FAMILIES:
             payload["threshold"] = _threshold(c, result.value)
         else:
-            pure = pauli_coefficients(build_state(dataclasses.replace(spec, epsilon=1.0)))
-            payload["threshold"] = threshold_search(
-                pure, grid_per_sphere=args.grid, refine_iters=args.refine
-            )
+            payload["threshold"] = _family_threshold(spec.family, rho.qubits, args.grid, args.refine)
     _emit(args, payload)
     return EXIT_OK
 
@@ -322,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold-search",
         action="store_true",
         help="also report the largest nonnegative mixing weight of the pure target, "
-        "in closed form from one minimization",
+        "in closed form from its minimum; an eps-family target at eps = 1 is "
+        "minimized once per process for each family, N, --grid and --refine",
     )
     p.set_defaults(func=cmd_min_wcan)
 

@@ -79,12 +79,19 @@ def _json_vector(name: str, value) -> BlochVector:
     return BlochVector(*(_json_number(f"{name} component", c) for c in (x, y, z)))
 
 
-def _require_entries(what: str, entries: int, dtype: type = complex) -> None:
+# the most entries of each dtype in the bytes of MAX_ENTRIES complex entries
+_ENTRY_LIMITS = {
+    t: MAX_ENTRIES * np.dtype(complex).itemsize // np.dtype(t).itemsize for t in (complex, float)
+}
+
+
+def _require_entries(entries: int, dtype: type, what: str, *args) -> None:
     """Refuse an array of that many entries of dtype before it is allocated: it may
-    take the bytes of MAX_ENTRIES complex entries, so 2 MAX_ENTRIES floats."""
-    limit = MAX_ENTRIES * np.dtype(complex).itemsize // np.dtype(dtype).itemsize
+    take the bytes of MAX_ENTRIES complex entries, so 2 MAX_ENTRIES floats.  The
+    refusal names what % args, formatted only when it is raised."""
+    limit = _ENTRY_LIMITS[dtype]
     if entries > limit:
-        raise ValueError(f"{what} is above the limit of {limit} entries")
+        raise ValueError(f"{what % args} is above the limit of {limit} entries")
 
 
 def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:

@@ -56,7 +56,7 @@ def _mode_contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.nda
 
 
 def _require_pauli_entries(n: int) -> None:
-    _require_entries(f"Pauli coefficients on {n} qubits (4^{n} entries)", 4 ** min(n, 64))
+    _require_entries(4 ** min(n, 64), complex, "Pauli coefficients on %s qubits (4^%s entries)", n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +246,7 @@ def wcan_discrete(rho: DenseOperator, frames: Sequence[Frame]) -> CoefficientTab
     if len(frames) != rho.qubits:
         raise ValueError(f"expected {rho.qubits} frames, got {len(frames)}")
     rows = math.prod(f.size for f in frames)
-    _require_entries(f"a table of {rows} entries", rows, float)
+    _require_entries(rows, float, "a table of %s entries", rows)
     c = pauli_coefficients(rho)
     mats = [f.dual_pauli_matrix() for f in frames]
     return CoefficientTable._adopt(frames, _mode_contract(c.coeffs, mats))

@@ -131,7 +131,7 @@ def build_state(spec: StateSpec) -> DenseOperator:
     eps = spec.epsilon if eps is None else eps
     if eps is None:
         raise ValueError(f"family {spec.family!r} needs an epsilon")
-    _require_entries(f"the {family} state on {n} qubits (4^{n} entries)", 4 ** min(n, 64))
+    _require_entries(4 ** min(n, 64), complex, "the %s state on %s qubits (4^%s entries)", family, n, n)
     v = cat_state_vector(n)
     m = (1.0 - eps) * np.eye(2**n) / 2**n + eps * np.outer(v, v.conj())
     return DenseOperator(m, n, hermitian=True)
@@ -201,7 +201,7 @@ class ProductEnsemble:
             if len(vectors) != self.qubits:
                 raise ValueError(f"term has {len(vectors)} vectors, expected {self.qubits}")
         count = 3 * len(terms) * self.qubits
-        _require_entries(f"an ensemble of {len(terms)} terms on {self.qubits} qubits", count, float)
+        _require_entries(count, float, "an ensemble of %s terms on %s qubits", len(terms), self.qubits)
         # an exactly rounded sum, so thousands of terms do not drift past the tolerance
         total = math.fsum(p for p, _, _ in terms)
         flat = [v for _, term_vectors, _ in terms for v in term_vectors]
@@ -228,7 +228,7 @@ class ProductEnsemble:
         """
         n, t = self.qubits, len(self.terms)
         # refused here, before the Pauli tensor of half the operator's bytes is built
-        _require_entries(f"the mixture on {n} qubits (4^{n} entries)", 4**n)
+        _require_entries(4**n, complex, "the mixture on %s qubits (4^%s entries)", n, n)
         rows = _pauli_rows(self._vectors.reshape(-1, 3)).reshape(t, n, 4)
         probabilities = np.array([[p] for p, _, _ in self.terms])
         block = max(1, 2 * MAX_ENTRIES // (4 ** (n // 2) + 4 ** (n - n // 2)))
@@ -289,7 +289,7 @@ def cat_ensemble(n: int) -> ProductEnsemble:
     """
     eps = bound_duer(n)
     count = 2 + 4 ** (n - 1)
-    _require_entries(f"the cat ensemble on {n} qubits ({count} terms)", 3 * count * n, float)
+    _require_entries(3 * count * n, float, "the cat ensemble on %s qubits (%s terms)", n, count)
     terms = [EnsembleTerm(eps / 2, (_axis(3, s),) * n, "poles") for s in (1, -1)]
     for axes, sign in _cat_strings(n):
         label = ",".join("xy"[a - 1] for a in axes)
@@ -333,7 +333,7 @@ def ensemble_to_table(e: ProductEnsemble, frames: Sequence[Frame]) -> Coefficien
     if len(frames) != e.qubits:
         raise ValueError(f"expected {e.qubits} frames, got {len(frames)}")
     rows = math.prod(f.size for f in frames)
-    _require_entries(f"a table of {rows} entries", rows, float)
+    _require_entries(rows, float, "a table of %s entries", rows)
     vectors = e._vectors
     idx = np.empty(vectors.shape[:2], dtype=int)
     off = np.empty(vectors.shape[:2], dtype=bool)

@@ -269,27 +269,87 @@ def test_min_wcan_threshold_search_minimizes_its_own_target_once(capsys, monkeyp
     import blochframes.cli as cli
     import blochframes.minimize as minimize
 
+    # an earlier request may have left an eps = 1 target's threshold in the memo
+    cli._family_threshold.cache_clear()
     calls = []
     minimize_wcan = minimize.minimize_wcan
     for module in (cli, minimize):
         monkeypatch.setattr(module, "minimize_wcan", lambda *a, **k: calls.append(1) or minimize_wcan(*a, **k))
     werner_half = [[0.375, 0, 0, 0.25], [0, 0.125, 0, 0], [0, 0, 0.125, 0], [0.25, 0, 0, 0.375]]
+    thresholds = {}
+    # the first eps-family request minimizes the state and its eps = 1 target, and
+    # the target's threshold is kept, so one at another eps minimizes the state
+    # only; every other request's target is the state itself
     for state, minimizations in [
         ({"family": "custom_matrix", "matrix": werner_half}, 1),
+        ({"family": "custom_matrix", "epsilon": 0.3, "matrix": werner_half}, 1),
         ({"family": "cat", "n": 3}, 1),
+        ({"family": "cat", "n": 3, "epsilon": 0.4}, 1),
         ({"family": "maximally_mixed", "n": 2}, 1),
         ({"family": "eps_cat", "n": 3, "epsilon": 0.2}, 2),
+        ({"family": "eps_cat", "n": 3, "epsilon": 0.6}, 1),
+        ({"family": "eps_cat", "n": 3, "epsilon": 1.0}, 1),
     ]:
         calls.clear()
         argv = ["min-wcan", "--state", json.dumps(state), "--grid", "12", "--threshold-search"]
         code, out, err = run_cli(capsys, argv)
         assert code == 0, state
         assert len(calls) == minimizations, state
-        # the report is the one a second minimization of the target gives
+        # the report is the one a fresh minimization of the target gives
         report = json.loads(out)
         pure = state if state["family"] == "custom_matrix" else {**state, "epsilon": 1.0}
         c = pauli_coefficients(build_state(StateSpec.from_json(pure)))
-        assert report["threshold"] == cli.threshold_search(c, grid_per_sphere=12, refine_iters=3)
+        assert report["threshold"] == minimize.threshold_search(c, grid_per_sphere=12, refine_iters=3)
+        line = next(line for line in out.splitlines() if '"threshold"' in line)
+        # the same bytes at every eps of one family
+        assert thresholds.setdefault(json.dumps(pure), line) == line, state
+
+
+def _parent_report(state: dict, grid: int, refine: int) -> str:
+    """The min-wcan --threshold-search stdout computed as it was before the eps = 1
+    target's threshold was kept: a fresh threshold_search of that target."""
+    from blochframes.minimize import minimize_wcan, threshold_search
+
+    spec = StateSpec.from_json(state)
+    rho = build_state(spec)
+    result = minimize_wcan(pauli_coefficients(rho), grid_per_sphere=grid, refine_iters=refine)
+    argmin = []
+    for v in result.argmin:
+        theta, phi = v.angles()
+        argmin.append({"theta": theta, "phi": phi, "vector": [v.x, v.y, v.z]})
+    payload = {
+        "qubits": rho.qubits,
+        "min": result.value,
+        "argmin": argmin,
+        "grid_ties": result.grid_ties,
+        "grid": grid,
+        "grid_used": result.grid_used,
+        "refine": refine,
+    }
+    pure = pauli_coefficients(build_state(StateSpec.from_json({**state, "epsilon": 1.0})))
+    payload["threshold"] = threshold_search(pure, grid_per_sphere=grid, refine_iters=refine)
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("grid, refine", [(6, 0), (12, 1), (24, 3)])
+@pytest.mark.parametrize(
+    "state",
+    [{"family": "eps_cat", "n": n} for n in (2, 3, 4, 5)] + [{"family": "werner"}, {"family": "eps_ghz"}],
+    ids=lambda state: "-".join(str(v) for v in state.values()),
+)
+def test_min_wcan_kept_target_threshold_gives_the_fresh_report(capsys, state, grid, refine):
+    import blochframes.cli as cli
+
+    cli._family_threshold.cache_clear()
+    # the first request computes the target's threshold, the second reads it back
+    for eps in (0.3, 0.05):
+        given = {**state, "epsilon": eps}
+        argv = ["min-wcan", "--state", json.dumps(given), "--grid", str(grid), "--refine", str(refine),
+                "--threshold-search"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, given
+        assert out == _parent_report(given, grid, refine), given
+    assert cli._family_threshold.cache_info().hits == 1
 
 
 def test_min_wcan_threshold_search_seven_qubits(capsys):

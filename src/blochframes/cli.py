@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import numpy as np
@@ -115,12 +116,84 @@ def _csv_field(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+# float repr -> json's spelling of the values outside JSON's number grammar
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _NotPlain(Exception):
+    """A value that _json_text leaves to json's own rules."""
+
+
+def _json_text(payload) -> str:
+    """The text json.dumps gives payload at indent=2, written in one recursive
+    pass that formats each distinct float once.  A value other than a dict with
+    str keys, a list, a tuple, a float, an int, a str, a bool or None (a float
+    subclass such as np.float64 too) hands the whole payload to the encoder
+    json.dumps builds, so the text and any error are json's."""
+    parts = []
+    put = parts.append
+    floats = {}
+
+    def walk(value, pad):
+        kind = type(value)
+        if kind is float:
+            text = floats.get(value)
+            if text is None:
+                text = float.__repr__(value)
+                text = _JSON_NONFINITE.get(text, text)
+                if value:  # 0.0 and -0.0 are one key, so neither is kept
+                    floats[value] = text
+            put(text)
+        elif kind is list or kind is tuple:
+            if not value:
+                put("[]")
+                return
+            inner = pad + "  "
+            sep = "[" + inner
+            for item in value:
+                put(sep)
+                walk(item, inner)
+                sep = "," + inner
+            put(pad + "]")
+        elif kind is str:
+            put(_json_str(value))
+        elif kind is dict:
+            if not value:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for key, item in value.items():
+                if type(key) is not str:
+                    raise _NotPlain
+                put(sep + _json_str(key) + ": ")
+                walk(item, inner)
+                sep = "," + inner
+            put(pad + "}")
+        elif kind is int:
+            put(int.__repr__(value))
+        elif value is None:
+            put("null")
+        elif value is True:
+            put("true")
+        elif value is False:
+            put("false")
+        else:
+            raise _NotPlain
+
+    try:
+        walk(payload, "\n")
+    except _NotPlain:
+        return json.JSONEncoder(indent=2).encode(payload)
+    return "".join(parts)
+
+
 def _emit(args, payload: dict | list[dict], default_format: str = "json") -> None:
     """Print a payload, or a list of payloads with the same keys, as JSON or as
     CSV with one header row."""
     fmt = args.format or default_format
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         return
     import csv  # only the CSV format needs it, so it stays off the import path
 

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochframes import (
     StateSpec,
@@ -808,3 +810,84 @@ def test_nan_coefficient_is_input_error(capsys):
     assert code == 2
     assert out == ""
     assert "non-finite" in err
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16]
+_FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_PLAIN_LEAVES = (
+    _FLOATS
+    | st.booleans()
+    | st.none()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**63))
+    # non-ASCII, control characters and lone surrogates
+    | st.text(st.characters(exclude_categories=()))
+)
+
+
+def _nested(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+        max_leaves=30,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize(
+    "leaves", [_PLAIN_LEAVES, _PLAIN_LEAVES | _FLOATS.map(np.float64)], ids=["plain", "numpy"]
+)
+def test_json_report_text_is_json_dumps_indent_2(data, leaves):
+    from blochframes.cli import _json_text
+
+    value = data.draw(_nested(leaves))
+    # both zeros in one payload, in both orders, beside whatever was drawn
+    payload = {"zeros": [0.0, -0.0, -0.0, 0.0], "value": value, "again": [value]}
+    assert _json_text(payload) == json.dumps(payload, indent=2)
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("odd", [object(), np.int64(1)], ids=["object", "int64"])
+def test_json_report_leaves_unknown_values_to_json(capsys, odd):
+    import argparse
+
+    from blochframes.cli import _emit
+
+    payload = {"a": [1.5, {"b": odd}]}
+    with pytest.raises(TypeError) as expected:
+        json.dumps(payload, indent=2)
+    with pytest.raises(TypeError) as got:
+        _emit(argparse.Namespace(format=None), payload)
+    assert str(got.value) == str(expected.value)
+    assert capsys.readouterr().out == ""
+    # a key that is not a str is converted by json's rules
+    payload = {1: 0.5, 2.5: [True, None], None: {}, "x": -0.0}
+    _emit(argparse.Namespace(format=None), payload)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["min-wcan", "--state", '{"family": "eps_cat", "n": 3, "epsilon": 0.3}', "--threshold-search"],
+        ["witness", "--name", "ghz", "--state", '{"family": "eps_cat", "n": 3, "epsilon": 0.3}'],
+        ["ppt", "--state", '{"family": "werner", "epsilon": 0.2}'],
+        ["verify-ensemble", "--name", "werner"],
+        ["--format", "json", "coeffs", "--state", '{"family": "werner", "epsilon": 0.2}'],
+    ],
+    ids=lambda argv: argv[0] if argv[0] != "--format" else argv[2],
+)
+def test_json_reports_skip_json_pure_python_encoder(capsys, monkeypatch, argv):
+    import json.encoder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert json.loads(out)

@@ -31,8 +31,6 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
-import numpy as np
-
 from .frames import Frame, build_frame, frame_from_json
 from .minimize import _threshold, minimize_wcan, threshold_search
 from .operators import RECONSTRUCTION_TOL, SIGN_TOL, _deviation
@@ -188,10 +186,10 @@ def _json_text(payload) -> str:
     return "".join(parts)
 
 
-def _emit(args, payload: dict | list[dict], default_format: str = "json") -> None:
+def _emit(args, payload: dict | list[dict]) -> None:
     """Print a payload, or a list of payloads with the same keys, as JSON or as
-    CSV with one header row."""
-    fmt = args.format or default_format
+    CSV with one header row; without --format a list is CSV and a payload JSON."""
+    fmt = args.format or ("csv" if isinstance(payload, list) else "json")
     if fmt == "json":
         print(_json_text(payload))
         return
@@ -219,7 +217,7 @@ def cmd_bounds(args) -> int:
                 "duer": bound_duer(n) if n >= 2 else 1.0,
             }
         )
-    _emit(args, rows, default_format="csv")
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -238,7 +236,7 @@ def cmd_coeffs(args) -> int:
         table.write_csv(sys.stdout)
         return EXIT_OK
     payload = {
-        "rows": int(np.prod(table.weights.shape)),
+        "rows": table.weights.size,
         "min": table.min_entry(),
         "sum": table.total(),
     }
@@ -287,12 +285,13 @@ _EPSILON_FAMILIES = frozenset(family for family, (_, eps) in _MIXTURES.items() i
 
 
 @functools.lru_cache(maxsize=64)
-def _family_threshold(family: str, n: int, grid: int, refine: int) -> float:
-    """threshold_search of the family's state on n qubits at eps = 1.  That target
-    is the same at every eps, so each key is minimized once per process; the
-    module's threshold_search is looked up at call time."""
-    pure = pauli_coefficients(build_state(StateSpec(family, n, 1.0)))
-    return threshold_search(pure, grid_per_sphere=grid, refine_iters=refine)
+def _family_threshold(n: int, grid: int, refined: bool) -> float:
+    """threshold_search of the n-qubit cat state, the eps = 1 target of every
+    eps-family.  minimize_wcan refines alike at every positive count, so each key
+    is minimized once per process; the module's threshold_search is looked up at
+    call time."""
+    pure = pauli_coefficients(build_state(StateSpec("cat", n)))
+    return threshold_search(pure, grid_per_sphere=grid, refine_iters=int(refined))
 
 
 def cmd_min_wcan(args) -> int:
@@ -319,11 +318,11 @@ def cmd_min_wcan(args) -> int:
     }
     if args.threshold_search:
         # the target is the family at eps = 1, which is the state just minimized
-        # unless an eps-family is given another eps
+        # unless an eps-family is given another eps: then it is the N-qubit cat state
         if spec.epsilon in (None, 1.0) or spec.family not in _EPSILON_FAMILIES:
             payload["threshold"] = _threshold(c, result.value)
         else:
-            payload["threshold"] = _family_threshold(spec.family, rho.qubits, args.grid, args.refine)
+            payload["threshold"] = _family_threshold(rho.qubits, args.grid, args.refine > 0)
     _emit(args, payload)
     return EXIT_OK
 
@@ -405,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold-search",
         action="store_true",
         help="also report the largest nonnegative mixing weight of the pure target, "
-        "in closed form from its minimum; an eps-family target at eps = 1 is "
-        "minimized once per process for each family, N, --grid and --refine",
+        "in closed form from its minimum",
     )
     p.set_defaults(func=cmd_min_wcan)
 

@@ -64,7 +64,8 @@ def sphere_grid(count: int) -> np.ndarray:
 
 def _scan_count(request: int, n: int) -> int:
     """The largest count <= request of its parity and >= 6 whose grid fits
-    SCAN_BUDGET over n spheres, else the smallest (6 or 7).  Sizes are not
+    SCAN_BUDGET over n spheres, else the smallest (6 or 7); a request below 8
+    comes back as is, so sphere_grid refuses one below 6.  Sizes are not
     monotone in count (50 gives 50 points, 51 gives 42), so counts are tried
     downward; by _rings' bound none fits from s + 2 sqrt(s) + 8 up, s being the
     least size over budget, and no grid exceeds its count: about sqrt(s) tries."""
@@ -184,8 +185,6 @@ def minimize_wcan(
     grid_ties lists the grid configurations (as (theta, phi) per qubit) whose
     scanned value ties the grid minimum within 1e-12, capped at 24 entries.
     """
-    if grid_per_sphere < 6:
-        raise ValueError("grid_per_sphere must be at least 6")
     n = c.qubits
     count = _scan_count(grid_per_sphere, n)
     angles, nodes = (_cached_scan_grid if count <= _CACHED_GRID_COUNT else _scan_grid)(count)

@@ -354,6 +354,35 @@ def test_min_wcan_kept_target_threshold_gives_the_fresh_report(capsys, state, gr
     assert cli._family_threshold.cache_info().hits == 1
 
 
+def test_min_wcan_eps_families_share_the_cat_target_threshold(capsys, monkeypatch):
+    import blochframes.cli as cli
+    import blochframes.minimize as minimize
+
+    cli._family_threshold.cache_clear()
+    calls = []
+    minimize_wcan = minimize.minimize_wcan
+    for module in (cli, minimize):
+        monkeypatch.setattr(module, "minimize_wcan", lambda *a, **k: calls.append(1) or minimize_wcan(*a, **k))
+    # every eps-family's eps = 1 target is the N-qubit cat state, and every positive
+    # --refine refines alike, so the cat target is minimized once per N: the
+    # request that first needs it minimizes twice, every later one once
+    for state, refine, minimizations in [
+        ({"family": "werner", "epsilon": 0.3}, 3, 2),
+        ({"family": "eps_cat", "n": 2, "epsilon": 0.05}, 3, 1),
+        ({"family": "eps_cat", "n": 2, "epsilon": 0.2}, 1, 1),
+        ({"family": "eps_ghz", "epsilon": 0.3}, 3, 2),
+        ({"family": "eps_cat", "n": 3, "epsilon": 0.05}, 3, 1),
+    ]:
+        calls.clear()
+        argv = ["min-wcan", "--state", json.dumps(state), "--grid", "12", "--refine", str(refine),
+                "--threshold-search"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, state
+        assert len(calls) == minimizations, state
+        assert out == _parent_report(state, 12, refine), state
+    assert cli._family_threshold.cache_info().currsize == 2
+
+
 def test_min_wcan_threshold_search_seven_qubits(capsys):
     # the scan self-thins to stay within budget; poles and the anti-phased
     # equator configurations survive, so the threshold stays exact
@@ -868,6 +897,15 @@ def test_json_report_leaves_unknown_values_to_json(capsys, odd):
     payload = {1: 0.5, 2.5: [True, None], None: {}, "x": -0.0}
     _emit(argparse.Namespace(format=None), payload)
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_emit_prints_a_list_as_csv_by_default(capsys):
+    import argparse
+
+    from blochframes.cli import _emit
+
+    _emit(argparse.Namespace(format=None), [{"N": 2, "x": 0.5, "y": None}, {"N": 3, "x": 0.25, "y": [1]}])
+    assert capsys.readouterr().out == "N,x,y\n2,0.5,\n3,0.25,[1]\n"
 
 
 @pytest.mark.parametrize(

@@ -197,8 +197,11 @@ def test_ten_qubit_scan_refused_at_every_grid():
 
 def test_minimize_rejects_small_grid(rng):
     c = pauli_coefficients(random_density(rng, 1))
+    for grid in (4, 5, 0, -3):
+        with pytest.raises(ValueError):
+            minimize_wcan(c, grid_per_sphere=grid)
     with pytest.raises(ValueError):
-        minimize_wcan(c, grid_per_sphere=4)
+        minimize_wcan(PauliCoefficients(10, np.zeros((4,) * 10)), grid_per_sphere=5)
 
 
 def test_maximally_mixed_is_flat():

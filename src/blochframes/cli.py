@@ -223,24 +223,19 @@ def cmd_bounds(args) -> int:
 
 def cmd_coeffs(args) -> int:
     rho = build_state(_read("--state", args.state, StateSpec.from_json))
-    frames = _frames_from_arg(args.frames, rho.qubits)
-    table = wcan_discrete(rho, frames)
-    out_path = Path(args.out) if args.out else None
-    if out_path is not None:
+    table = wcan_discrete(rho, _frames_from_arg(args.frames, rho.qubits))
+    # the table goes to stdout as CSV unless --out names a file or JSON is asked for
+    if not args.out and args.format != "json":
+        table.write_csv(sys.stdout)
+        return EXIT_OK
+    payload = {"rows": table.weights.size, "min": table.min_entry(), "sum": table.total()}
+    if args.out:
+        out_path = Path(args.out)
         try:
             with out_path.open("w") as fh:
                 table.write_csv(fh)
         except OSError as exc:
             raise _InputError(f"cannot write {out_path}: {exc}") from exc
-    if out_path is None and (args.format or "csv") == "csv":
-        table.write_csv(sys.stdout)
-        return EXIT_OK
-    payload = {
-        "rows": table.weights.size,
-        "min": table.min_entry(),
-        "sum": table.total(),
-    }
-    if out_path is not None:
         payload["out"] = str(out_path)
     _emit(args, payload)
     return EXIT_OK
@@ -421,10 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """One parser per process, built on the first call; parsing leaves it unchanged."""
-    return build_parser()
+# one parser per process, built on the first call; parsing leaves it unchanged
+_parser = functools.lru_cache(maxsize=None)(build_parser)
 
 
 def main(argv=None) -> int:

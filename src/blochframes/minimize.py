@@ -53,10 +53,13 @@ def _rings(count: int) -> tuple[int, int]:
 def sphere_grid(count: int) -> np.ndarray:
     """At most `count` deterministic points as (P, 2) rows of (theta, phi): the
     north pole, rings at m - 1 latitudes of p azimuths each, the south pole;
-    m and p are even, so theta = pi/2 and phi in {0, pi} are always present."""
+    m and p are even, so theta = pi/2 and phi in {0, pi} are always present.
+    A grid of more than SCAN_BUDGET points is refused before it is built."""
     if count < 6:
         raise ValueError("sphere grids need at least 6 points")
     m, p = _rings(count)
+    if (points := 2 + (m - 1) * p) > SCAN_BUDGET:
+        raise ValueError(f"a sphere grid of {points} points is above the limit of {SCAN_BUDGET}")
     theta = np.repeat(np.pi * np.arange(1, m) / m, p)
     phi = np.tile(2.0 * np.pi * np.arange(p) / p, m - 1)
     return np.vstack([(0.0, 0.0), np.column_stack([theta, phi]), (np.pi, 0.0)])

@@ -94,6 +94,12 @@ def _require_entries(entries: int, dtype: type, what: str, *args) -> None:
         raise ValueError(f"{what % args} is above the limit of {limit} entries")
 
 
+def _require_qubits(n: int, what: str, *args) -> None:
+    """Refuse an N-qubit array of 4^N complex entries (a 2^N x 2^N operator, a Pauli
+    tensor) before it is allocated, as what % args on n qubits."""
+    _require_entries(4 ** min(n, 64), complex, what + " on %s qubits (4^%s entries)", *args, n, n)
+
+
 def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
     """(m, 0.0) if m = m^dag exactly, else ((m + m^dag)/2, max |m - m^dag|)."""
     h = m.conj().T
@@ -213,6 +219,7 @@ def tensor(factors: Sequence[DenseOperator]) -> DenseOperator:
     """Kronecker product of the factors, first factor most significant."""
     if not factors:
         raise ValueError("tensor requires at least one factor")
+    _require_qubits(sum(f.qubits for f in factors), "the tensor product")
     out = factors[0].matrix
     qubits = factors[0].qubits
     for f in factors[1:]:

@@ -28,6 +28,7 @@ from .operators import (
     _json_number,
     _pauli_rows,
     _require_entries,
+    _require_qubits,
     _require_unit,
     sigma_stack,
 )
@@ -55,10 +56,6 @@ def _mode_contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.nda
     return out.reshape([m.shape[0] for m in matrices])
 
 
-def _require_pauli_entries(n: int) -> None:
-    _require_entries(4 ** min(n, 64), complex, "Pauli coefficients on %s qubits (4^%s entries)", n, n)
-
-
 @dataclass(frozen=True, eq=False)
 class PauliCoefficients:
     """Real tensor c with c[a1, ..., aN] = tr(rho sigma_a1 x ... x sigma_aN)."""
@@ -70,7 +67,7 @@ class PauliCoefficients:
         if self.qubits < 1:
             raise ValueError("qubit count must be at least 1")
         # refused before the tensor is copied
-        _require_pauli_entries(self.qubits)
+        _require_qubits(self.qubits, "Pauli coefficients")
         c = np.array(self.coeffs, dtype=float)
         if c.shape != (4,) * self.qubits:
             raise ValueError(f"coefficient tensor must have shape {(4,) * self.qubits}")
@@ -106,7 +103,7 @@ class PauliCoefficients:
     @classmethod
     def from_dict(cls, data: dict) -> "PauliCoefficients":
         n = _json_number("qubit count", data["n"], int)
-        _require_pauli_entries(n)
+        _require_qubits(n, "Pauli coefficients")
         c = np.zeros((4,) * n)
         for key, value in dict(data.get("coeffs", {})).items():
             if len(key) != n or any(ch not in "0123" for ch in key):

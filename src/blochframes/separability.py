@@ -12,7 +12,7 @@ its slack as tol, SIGN_TOL unless a caller such as the CLI's --tol sets another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,21 +45,17 @@ def certify(rho: DenseOperator, representation) -> SeparabilityCertificate:
     positive one elsewhere.
     """
     if hasattr(representation, "mixture"):
-        recon = representation.mixture()
-        table = None
+        table, recon = None, representation.mixture()
+        minimum = min(p for p, _, _ in representation.terms)
     else:
-        table = representation
-        recon = reconstruct_discrete(table)
+        table, recon = representation, reconstruct_discrete(representation)
+        minimum = table.min_entry()
     err = _deviation(recon, rho)
     # written so that a NaN deviation fails too
     if not err <= RECONSTRUCTION_TOL:
         raise CertificateError(
             f"representation reconstructs a different state (deviation {err:.3e})"
         )
-    if table is None:
-        minimum = min(p for p, _, _ in representation.terms)
-    else:
-        minimum = table.min_entry()
     verdict = "separable" if minimum >= -SIGN_TOL else "undetermined"
     return SeparabilityCertificate(
         representation=table,
@@ -81,13 +77,8 @@ class WitnessReport:
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "witness": self.witness,
-            "value": self.value,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
+        # not dataclasses.asdict, which deep-copies detail
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _report(witness: str, value: float, detail: dict, tol: float) -> WitnessReport:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .operators import BlochVector, DenseOperator, _pauli_rows, _require_unit, validate_density
-from .operators import MAX_ENTRIES, _json_number, _json_vector, _require_entries
+from .operators import MAX_ENTRIES, _json_number, _json_vector, _require_entries, _require_qubits
 from .frames import Frame
 from .representations import CoefficientTable, PauliCoefficients, pauli_to_operator
 
@@ -71,10 +71,12 @@ class StateSpec:
     def from_json(cls, data: dict) -> "StateSpec":
         if not isinstance(data, dict) or "family" not in data:
             raise ValueError('state JSON needs a "family" key')
+        if not isinstance(data["family"], str):
+            raise ValueError(f"family must be a string, got {data['family']!r}")
         qubits, epsilon = data.get("n", data.get("qubits")), data.get("epsilon")
         matrix = data.get("matrix")
         return cls(
-            family=str(data["family"]),
+            family=data["family"],
             qubits=None if qubits is None else _json_number("qubit count", qubits, int),
             epsilon=None if epsilon is None else _json_number("epsilon", epsilon),
             matrix=None if matrix is None else np.array([[_matrix_entry(e) for e in r] for r in matrix]),
@@ -131,13 +133,14 @@ def build_state(spec: StateSpec) -> DenseOperator:
     eps = spec.epsilon if eps is None else eps
     if eps is None:
         raise ValueError(f"family {spec.family!r} needs an epsilon")
-    _require_entries(4 ** min(n, 64), complex, "the %s state on %s qubits (4^%s entries)", family, n, n)
+    _require_qubits(n, "the %s state", family)
     v = cat_state_vector(n)
     m = (1.0 - eps) * np.eye(2**n) / 2**n + eps * np.outer(v, v.conj())
     return DenseOperator(m, n, hermitian=True)
 
 
 # --- closed-form separability bounds ---------------------------------------
+# each divides exact integers, so it is correctly rounded and finite at every N
 
 
 def bound_general(n: int) -> float:
@@ -145,7 +148,7 @@ def bound_general(n: int) -> float:
     eps <= 1/(1 + 2^(2N-1))."""
     if n < 1:
         raise ValueError("bound_general needs n >= 1")
-    return 1.0 / (1 + 2 ** (2 * n - 1))
+    return 1 / (1 + 2 ** (2 * n - 1))
 
 
 def bound_cat(n: int) -> float:
@@ -160,8 +163,8 @@ def bound_cat(n: int) -> float:
     if n < 2:
         raise ValueError("bound_cat needs n >= 2")
     sign = 1 if n % 2 == 0 else -1
-    pole = 1.0 / (1 + sign * 2**n + 2 ** (2 * n - 2))
-    equator = 1.0 / 3**n
+    pole = 1 / (1 + sign * 2**n + 2 ** (2 * n - 2))
+    equator = 1 / 3**n
     return min(pole, equator)
 
 
@@ -170,7 +173,7 @@ def bound_duer(n: int) -> float:
     Duer, Cirac and Tarrach; sharp for all N."""
     if n < 2:
         raise ValueError("bound_duer needs n >= 2")
-    return 1.0 / (1 + 2 ** (n - 1))
+    return 1 / (1 + 2 ** (n - 1))
 
 
 # --- explicit product ensembles ---------------------------------------------
@@ -228,7 +231,7 @@ class ProductEnsemble:
         """
         n, t = self.qubits, len(self.terms)
         # refused here, before the Pauli tensor of half the operator's bytes is built
-        _require_entries(4**n, complex, "the mixture on %s qubits (4^%s entries)", n, n)
+        _require_qubits(n, "the mixture")
         rows = _pauli_rows(self._vectors.reshape(-1, 3)).reshape(t, n, 4)
         probabilities = np.array([[p] for p, _, _ in self.terms])
         block = max(1, 2 * MAX_ENTRIES // (4 ** (n // 2) + 4 ** (n - n // 2)))

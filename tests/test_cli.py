@@ -60,6 +60,13 @@ def test_coeffs_stdout_csv(capsys):
     data = [l for l in out.splitlines() if l and not l.startswith("#")]
     assert data[0] == "idx_1,weight"
     assert data[1:] == ["0,0.25", "1,0.25", "2,0.25", "3,0.25"]
+    # an empty --out names no file: the table still goes to stdout
+    code, empty_out, err = run_cli(
+        capsys,
+        ["coeffs", "--state", '{"family": "maximally_mixed", "n": 1}',
+         "--frames", '{"kind": "tetrahedron"}', "--out", ""],
+    )
+    assert code == 0 and empty_out == out
 
 
 def test_coeffs_file_output(capsys, tmp_path):
@@ -89,6 +96,11 @@ def test_coeffs_file_output_default_summary_bytes(capsys, tmp_path):
     rho = build_state(StateSpec("werner", epsilon=0.2))
     table = wcan_discrete(rho, [build_frame("cardinal6")] * 2)
     expected = {"rows": 36, "min": table.min_entry(), "sum": table.total(), "out": str(out_file)}
+    assert out == json.dumps(expected, indent=2) + "\n"
+    # an empty --out writes no file, so the JSON report names none
+    code, out, err = run_cli(capsys, ["--format", "json", "coeffs", "--state", state, "--out", ""])
+    assert code == 0
+    del expected["out"]
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
@@ -687,6 +699,10 @@ def _matrix_state(first) -> str:
         # a qubit count is at least 1, and its 4^N coefficients must fit the entry budget
         (["witness", "--name", "ghz", "--coeffs", '{"n": 0, "coeffs": {}}'], "--coeffs"),
         (["witness", "--name", "ghz", "--coeffs", '{"n": 20, "coeffs": {}}'], "--coeffs"),
+        # a family is a JSON string, not its str() of a list, a boolean or null
+        (["ppt", "--state", '{"family": ["werner"], "epsilon": 0.2}'], "--state"),
+        (["ppt", "--state", '{"family": true, "epsilon": 0.2}'], "--state"),
+        (["coeffs", "--state", '{"family": null, "n": 1}'], "--state"),
     ],
 )
 def test_unreadable_argument_is_input_error(capsys, argv, flag):

@@ -35,9 +35,27 @@ def test_sphere_grid_contains_poles_and_equator():
     assert any(abs(p - math.pi) < 1e-12 for p in equator_phis)
 
 
-def test_sphere_grid_too_small():
+def test_sphere_grid_too_small(monkeypatch):
     with pytest.raises(ValueError):
         sphere_grid(5)
+    # the point count is checked, not the request, before anything is allocated:
+    # 9,000,000 asks for 8,997,284 points, where 8,000,000 fit
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="sphere grid of 8997284 points is above the limit of 8000000"):
+            sphere_grid(SCAN_BUDGET + 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the largest one-sphere scan _scan_count picks holds exactly SCAN_BUDGET points
+    m, p = minimize._rings(_scan_count(10**9, 1))
+    assert 2 + (m - 1) * p == SCAN_BUDGET
+    # and a grid of exactly the budget is built, a larger one refused
+    monkeypatch.setattr(minimize, "SCAN_BUDGET", len(sphere_grid(1000)))
+    assert len(sphere_grid(1000)) == minimize.SCAN_BUDGET
+    with pytest.raises(ValueError, match="above the limit"):
+        sphere_grid(1010)
 
 
 def _ring_loop(count):

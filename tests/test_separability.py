@@ -152,6 +152,7 @@ def test_witness_qubit_count_guards(rng):
 def test_witness_report_json():
     c = pauli_coefficients(build_state(StateSpec("werner", epsilon=0.5)))
     data = witness_werner(c).to_json()
+    assert list(data) == ["witness", "value", "threshold", "verdict", "detail"]
     assert data["witness"] == "werner"
     assert data["verdict"] == "nonseparable"
     assert set(data["detail"]) == {"11", "22", "33"}

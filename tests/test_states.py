@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,6 +145,9 @@ def test_state_json_keys():
     assert spec.qubits == 4 and spec.epsilon == 0.01
     with pytest.raises(ValueError):
         StateSpec.from_json({"epsilon": 0.3})
+    for family in (["werner"], True, None, 7):
+        with pytest.raises(ValueError, match=f"family must be a string, got {re.escape(repr(family))}$"):
+            StateSpec.from_json({"family": family, "epsilon": 0.2})
 
 
 def test_bound_values():
@@ -158,6 +163,23 @@ def test_bound_values():
     assert bound_duer(2) == 1 / 3
     assert bound_duer(3) == 1 / 5
     assert bound_duer(5) == 1 / 17
+
+
+def test_bounds_are_correctly_rounded_at_every_n():
+    # exact integer division: the former float division raised OverflowError from
+    # N = 513 (N = 1025 for bound_duer), and agrees with it wherever the CLI reads
+    assert bound_general(1) == 1.0 / (1 + 2**1)
+    for n in range(2, 25):
+        sign = 1 if n % 2 == 0 else -1
+        assert bound_general(n) == 1.0 / (1 + 2 ** (2 * n - 1))
+        assert bound_cat(n) == min(1.0 / (1 + sign * 2**n + 2 ** (2 * n - 2)), 1.0 / 3**n)
+        assert bound_duer(n) == 1.0 / (1 + 2 ** (n - 1))
+    for n in (513, 1025):
+        for value in (bound_general(n), bound_cat(n), bound_duer(n)):
+            assert math.isfinite(value) and 0.0 <= value < 1e-150
+    assert bound_duer(1025) == math.ldexp(1.0, -1024)
+    # where the float division first rounded twice, the value is now the nearest double
+    assert bound_general(27) == float(Fraction(1, 1 + 2**53))
 
 
 def test_bound_domains():
@@ -526,6 +548,14 @@ def test_eleven_qubit_operators_are_refused_before_they_are_built():
     coeffs = np.zeros((4,) * 11)
     message, peak = _peak_bytes(lambda: PauliCoefficients(11, coeffs))
     assert message == "Pauli coefficients on 11 qubits (4^11 entries) is above the limit of 1048576 entries"
+    assert peak < 1 << 20
+    message, peak = _peak_bytes(lambda: build_state(StateSpec("eps_cat", 11, 0.1)))
+    assert message == "the eps_cat state on 11 qubits (4^11 entries) is above the limit of 1048576 entries"
+    assert peak < 1 << 20
+    # eleven one-qubit factors: without the check their product is a 64 MiB matrix
+    up = bloch_projector(BlochVector(0.0, 0.0, 1.0))
+    message, peak = _peak_bytes(lambda: tensor([up] * 11))
+    assert message == "the tensor product on 11 qubits (4^11 entries) is above the limit of 1048576 entries"
     assert peak < 1 << 20
 
 

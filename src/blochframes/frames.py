@@ -69,8 +69,8 @@ def frame_check(vectors: Sequence[BlochVector]) -> FrameCheck:
 class Frame:
     """A spanning projector family and its duals, all computed from the vectors.
 
-    rows is A (see the module docstring); it and the (K, 2, 2) projector_stack
-    and dual_stack, built on first access, are read-only.  For the cardinal6
+    rows is A (see the module docstring) and is read-only; the projectors and
+    duals are built from rows and M on first access.  For the cardinal6
     kind index a is 2*(j-1) + mu, i.e. the order +x, -x, +y, -y, +z, -z.
     """
 
@@ -102,22 +102,14 @@ class Frame:
         return len(self.vectors)
 
     @functools.cached_property
-    def projector_stack(self) -> np.ndarray:
-        return _pauli_matrices(0.5 * self.rows)
-
-    @functools.cached_property
-    def dual_stack(self) -> np.ndarray:
-        return _pauli_matrices(self._dual_pauli)
-
-    @functools.cached_property
     def projectors(self) -> tuple[DenseOperator, ...]:
         """The projectors as operators, built on first access."""
-        return tuple(DenseOperator(p, 1, hermitian=True) for p in self.projector_stack)
+        return tuple(DenseOperator(p, 1, hermitian=True) for p in _pauli_matrices(0.5 * self.rows))
 
     @functools.cached_property
     def duals(self) -> tuple[DenseOperator, ...]:
         """The duals as operators, built on first access."""
-        return tuple(DenseOperator(q, 1, hermitian=True) for q in self.dual_stack)
+        return tuple(DenseOperator(q, 1, hermitian=True) for q in _pauli_matrices(self._dual_pauli))
 
     def resolution_residual(self) -> float:
         """Frobenius distance of sum_a |P_a)(Q_a| (A^T M in Pauli coordinates) from the identity."""

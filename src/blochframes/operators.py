@@ -79,25 +79,20 @@ def _json_vector(name: str, value) -> BlochVector:
     return BlochVector(*(_json_number(f"{name} component", c) for c in (x, y, z)))
 
 
-# the most entries of each dtype in the bytes of MAX_ENTRIES complex entries
-_ENTRY_LIMITS = {
-    t: MAX_ENTRIES * np.dtype(complex).itemsize // np.dtype(t).itemsize for t in (complex, float)
-}
-
-
-def _require_entries(entries: int, dtype: type, what: str, *args) -> None:
-    """Refuse an array of that many entries of dtype before it is allocated: it may
-    take the bytes of MAX_ENTRIES complex entries, so 2 MAX_ENTRIES floats.  The
-    refusal names what % args, formatted only when it is raised."""
-    limit = _ENTRY_LIMITS[dtype]
-    if entries > limit:
-        raise ValueError(f"{what % args} is above the limit of {limit} entries")
+def _require_entries(entries: int, what: str, *args) -> None:
+    """Refuse a float array of that many entries before it is allocated: it may take
+    the bytes of MAX_ENTRIES complex entries, so 2 MAX_ENTRIES floats.  The refusal
+    names what % args, formatted only when it is raised."""
+    if entries > 2 * MAX_ENTRIES:
+        raise ValueError(f"{what % args} is above the limit of {2 * MAX_ENTRIES} entries")
 
 
 def _require_qubits(n: int, what: str, *args) -> None:
     """Refuse an N-qubit array of 4^N complex entries (a 2^N x 2^N operator, a Pauli
     tensor) before it is allocated, as what % args on n qubits."""
-    _require_entries(4 ** min(n, 64), complex, what + " on %s qubits (4^%s entries)", *args, n, n)
+    if 4 ** min(n, 64) > MAX_ENTRIES:
+        what = f"{what % args} on {n} qubits (4^{n} entries)"
+        raise ValueError(f"{what} is above the limit of {MAX_ENTRIES} entries")
 
 
 def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:

@@ -232,6 +232,16 @@ class CoefficientTable:
             stream.write(f"# min={self.min_entry()!r} sum={self.total()!r}\n")
 
 
+def _table_frames(frames: Sequence[Frame], qubits: int) -> tuple[Frame, ...]:
+    """One frame per qubit as a tuple, refused before a table over them passes the limit."""
+    frames = tuple(frames)
+    if len(frames) != qubits:
+        raise ValueError(f"expected {qubits} frames, got {len(frames)}")
+    rows = math.prod(f.size for f in frames)
+    _require_entries(rows, "a table of %s entries", rows)
+    return frames
+
+
 def wcan_discrete(rho: DenseOperator, frames: Sequence[Frame]) -> CoefficientTable:
     """Expansion coefficients of rho over one finite frame per qubit.
 
@@ -239,11 +249,7 @@ def wcan_discrete(rho: DenseOperator, frames: Sequence[Frame]) -> CoefficientTab
     passing frame_check this equals the canonical expansion function at the
     frame vectors times prod_k 4pi/K_k.
     """
-    frames = tuple(frames)
-    if len(frames) != rho.qubits:
-        raise ValueError(f"expected {rho.qubits} frames, got {len(frames)}")
-    rows = math.prod(f.size for f in frames)
-    _require_entries(rows, float, "a table of %s entries", rows)
+    frames = _table_frames(frames, rho.qubits)
     c = pauli_coefficients(rho)
     mats = [f.dual_pauli_matrix() for f in frames]
     return CoefficientTable._adopt(frames, _mode_contract(c.coeffs, mats))

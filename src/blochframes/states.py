@@ -22,7 +22,7 @@ import numpy as np
 from .operators import BlochVector, DenseOperator, _pauli_rows, _require_unit, validate_density
 from .operators import MAX_ENTRIES, _json_number, _json_vector, _require_entries, _require_qubits
 from .frames import Frame
-from .representations import CoefficientTable, PauliCoefficients, pauli_to_operator
+from .representations import CoefficientTable, PauliCoefficients, _table_frames, pauli_to_operator
 
 # eps-family -> (qubits it fixes, epsilon it fixes); None where the spec supplies it
 _MIXTURES = {
@@ -65,14 +65,14 @@ class StateSpec:
     matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, str):
+            raise ValueError(f"family must be a string, got {self.family!r}")
         object.__setattr__(self, "family", self.family.replace("-", "_"))
 
     @classmethod
     def from_json(cls, data: dict) -> "StateSpec":
         if not isinstance(data, dict) or "family" not in data:
             raise ValueError('state JSON needs a "family" key')
-        if not isinstance(data["family"], str):
-            raise ValueError(f"family must be a string, got {data['family']!r}")
         qubits, epsilon = data.get("n", data.get("qubits")), data.get("epsilon")
         matrix = data.get("matrix")
         return cls(
@@ -140,12 +140,14 @@ def build_state(spec: StateSpec) -> DenseOperator:
 
 
 # --- closed-form separability bounds ---------------------------------------
-# each divides exact integers, so it is correctly rounded and finite at every N
+# each reads n as a Python int and divides exact integers, so it is correctly
+# rounded and finite at every N, a numpy integer n included
 
 
 def bound_general(n: int) -> float:
     """Every N-qubit state this close to maximally mixed is separable:
     eps <= 1/(1 + 2^(2N-1))."""
+    n = _json_number("qubit count", n, int)
     if n < 1:
         raise ValueError("bound_general needs n >= 1")
     return 1 / (1 + 2 ** (2 * n - 1))
@@ -160,6 +162,7 @@ def bound_cat(n: int) -> float:
     is the smaller of the two.  That reproduces 1/9, 1/27, 1/81, 1/243 for
     N = 2..5 and the pole formula for N >= 6.
     """
+    n = _json_number("qubit count", n, int)
     if n < 2:
         raise ValueError("bound_cat needs n >= 2")
     sign = 1 if n % 2 == 0 else -1
@@ -171,6 +174,7 @@ def bound_cat(n: int) -> float:
 def bound_duer(n: int) -> float:
     """Separability threshold 1/(1 + 2^(N-1)) for the eps-cat family, due to
     Duer, Cirac and Tarrach; sharp for all N."""
+    n = _json_number("qubit count", n, int)
     if n < 2:
         raise ValueError("bound_duer needs n >= 2")
     return 1 / (1 + 2 ** (n - 1))
@@ -195,6 +199,8 @@ class ProductEnsemble:
     _vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.qubits < 1:
+            raise ValueError("qubit count must be at least 1")
         terms = tuple(EnsembleTerm(float(p), tuple(v), str(lab)) for p, v, lab in self.terms)
         # each test is written so that a NaN fails it; the upper bound also keeps
         # the exact sum below from overflowing
@@ -204,7 +210,7 @@ class ProductEnsemble:
             if len(vectors) != self.qubits:
                 raise ValueError(f"term has {len(vectors)} vectors, expected {self.qubits}")
         count = 3 * len(terms) * self.qubits
-        _require_entries(count, float, "an ensemble of %s terms on %s qubits", len(terms), self.qubits)
+        _require_entries(count, "an ensemble of %s terms on %s qubits", len(terms), self.qubits)
         # an exactly rounded sum, so thousands of terms do not drift past the tolerance
         total = math.fsum(p for p, _, _ in terms)
         flat = [v for _, term_vectors, _ in terms for v in term_vectors]
@@ -292,7 +298,7 @@ def cat_ensemble(n: int) -> ProductEnsemble:
     """
     eps = bound_duer(n)
     count = 2 + 4 ** (n - 1)
-    _require_entries(3 * count * n, float, "the cat ensemble on %s qubits (%s terms)", n, count)
+    _require_entries(3 * count * n, "the cat ensemble on %s qubits (%s terms)", n, count)
     terms = [EnsembleTerm(eps / 2, (_axis(3, s),) * n, "poles") for s in (1, -1)]
     for axes, sign in _cat_strings(n):
         label = ",".join("xy"[a - 1] for a in axes)
@@ -332,11 +338,7 @@ def ensemble_to_table(e: ProductEnsemble, frames: Sequence[Frame]) -> Coefficien
     Every ensemble vector must coincide (within 1e-12) with a vertex of the
     corresponding qubit's frame, otherwise the mapping fails.
     """
-    frames = tuple(frames)
-    if len(frames) != e.qubits:
-        raise ValueError(f"expected {e.qubits} frames, got {len(frames)}")
-    rows = math.prod(f.size for f in frames)
-    _require_entries(rows, float, "a table of %s entries", rows)
+    frames = _table_frames(frames, e.qubits)
     vectors = e._vectors
     idx = np.empty(vectors.shape[:2], dtype=int)
     off = np.empty(vectors.shape[:2], dtype=bool)

@@ -703,6 +703,9 @@ def _matrix_state(first) -> str:
         (["ppt", "--state", '{"family": ["werner"], "epsilon": 0.2}'], "--state"),
         (["ppt", "--state", '{"family": true, "epsilon": 0.2}'], "--state"),
         (["coeffs", "--state", '{"family": null, "n": 1}'], "--state"),
+        # an ensemble acts on at least one qubit, refused before its terms are read
+        (["verify-ensemble", "--state", _WERNER, "--file",
+          '{"qubits": 0, "terms": [{"probability": 1, "vectors": []}]}'], "--file"),
     ],
 )
 def test_unreadable_argument_is_input_error(capsys, argv, flag):

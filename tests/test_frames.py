@@ -47,9 +47,14 @@ def test_cardinal6_order_and_duals():
         assert np.allclose(q.matrix, (np.eye(2) + 3 * sig) / 6, atol=1e-12)
 
 
+def matrices(ops):
+    """The operators' matrices as one (K, 2, 2) array."""
+    return np.array([o.matrix for o in ops])
+
+
 def gram_eigenvalues(f):
     """Ascending eigenvalues of the Gram superoperator sum_a |P_a)(P_a|."""
-    vecs = f.projector_stack.transpose(0, 2, 1).reshape(f.size, 4)
+    vecs = matrices(f.projectors).transpose(0, 2, 1).reshape(f.size, 4)
     g = vecs.T @ vecs.conj()
     return np.linalg.eigvalsh(0.5 * (g + g.conj().T))
 
@@ -314,15 +319,14 @@ def _pauli_sum(m):
 def test_stacks_match_operator_views(rng):
     sig = sigma_stack()
     for f in _every_frame_kind(rng):
-        assert f.projector_stack.shape == f.dual_stack.shape == (f.size, 2, 2)
-        assert np.array_equal(f.projector_stack, np.array([p.matrix for p in f.projectors]))
-        assert np.array_equal(f.dual_stack, np.array([q.matrix for q in f.duals]))
-        # the projectors as bloch_projector builds them one by one
+        assert matrices(f.projectors).shape == matrices(f.duals).shape == (f.size, 2, 2)
+        # the projectors as bloch_projector builds them one by one, and from the rows
         one_by_one = np.array([bloch_projector(v).matrix for v in f.vectors])
-        assert np.array_equal(f.projector_stack, one_by_one)
+        assert np.array_equal(matrices(f.projectors), one_by_one)
+        assert np.array_equal(matrices(f.projectors), _pauli_sum(0.5 * f.rows))
         # the duals are built from dual_pauli_matrix, and give it back via the trace
-        assert np.array_equal(f.dual_stack, _pauli_sum(f.dual_pauli_matrix()))
-        per_dual = 0.5 * np.einsum("aij,bji->ab", np.array([q.matrix for q in f.duals]), sig).real
+        assert np.array_equal(matrices(f.duals), _pauli_sum(f.dual_pauli_matrix()))
+        per_dual = 0.5 * np.einsum("aij,bji->ab", matrices(f.duals), sig).real
         assert np.abs(f.dual_pauli_matrix() - per_dual).max() <= 1e-14
 
 
@@ -331,8 +335,8 @@ def test_dual_pauli_matrix_is_computed_once(rng):
         m = f.dual_pauli_matrix()
         assert f.dual_pauli_matrix() is m
         assert not m.flags.writeable
-        assert f.dual_stack is f.dual_stack
-        assert np.array_equal(f.dual_stack, _pauli_sum(m))
+        assert f.duals is f.duals
+        assert np.array_equal(matrices(f.duals), _pauli_sum(m))
 
 
 def test_balanced_named_frames_have_closed_form_duals():
@@ -348,8 +352,8 @@ def test_balanced_named_frames_have_closed_form_duals():
 
 def superoperator_residual(f):
     """|sum_a |P_a)(Q_a| - 1|_F on column-stacked 2x2 matrices."""
-    vp = f.projector_stack.transpose(0, 2, 1).reshape(f.size, 4)
-    vq = f.dual_stack.transpose(0, 2, 1).reshape(f.size, 4)
+    vp = matrices(f.projectors).transpose(0, 2, 1).reshape(f.size, 4)
+    vq = matrices(f.duals).transpose(0, 2, 1).reshape(f.size, 4)
     return float(np.linalg.norm(vp.T @ vq.conj() - np.eye(4)))
 
 
@@ -370,7 +374,7 @@ def test_frame_is_built_from_its_vectors():
     assert not f.rows.flags.writeable
     assert np.array_equal(f.dual_pauli_matrix(), dual_frame(vs).dual_pauli_matrix())
     with pytest.raises(TypeError):
-        Frame("custom", vs, f.projector_stack, f.dual_stack)
+        Frame("custom", vs, f.rows, f.dual_pauli_matrix())
     with pytest.raises(NonSpanningFrameError, match="spans only 0 of 4"):
         Frame("custom", ())
 
@@ -385,10 +389,10 @@ def test_operator_views_are_built_once():
 def test_named_frame_stacks_are_read_only():
     for kind in ("cardinal6", "tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron"):
         f = build_frame(kind)
-        for stack in (f.projector_stack, f.dual_stack):
-            assert not stack.flags.writeable
+        for op in (*f.projectors, *f.duals):
+            assert not op.matrix.flags.writeable
             with pytest.raises(ValueError):
-                stack[0, 0, 0] = 0.0
+                op.matrix[0, 0] = 0.0
 
 
 def test_dual_frame_rejects_nan_vector():

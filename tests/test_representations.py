@@ -327,7 +327,8 @@ def test_reconstructions_match_projector_stack_assembly(rng):
         rho = random_density(rng, n)
         frames = [build_frame(k) for k in ("cardinal6", "dodecahedron")[: n - 1]] + [custom]
         table = wcan_discrete(rho, frames)
-        expected = projector_stack_sum(table.weights, [f.projector_stack for f in frames])
+        stacks = [np.array([p.matrix for p in f.projectors]) for f in frames]
+        expected = projector_stack_sum(table.weights, stacks)
         back = reconstruct_discrete(table).matrix
         assert np.abs(back - expected).max() <= 1e-14
         # pauli_to_operator symmetrises, so the result is exactly Hermitian
@@ -557,9 +558,11 @@ _WERNER = pauli_coefficients(build_state(StateSpec("werner", epsilon=0.2)))
         (lambda: sphere_quadrature("cube"), "no quadrature registered for 'cube'"),
         (lambda: reconstruct_continuous(_WERNER, [sphere_quadrature("icosahedron")] * 3),
          "expected 2 quadratures, got 3"),
+        (lambda: wcan_discrete(build_state(StateSpec("werner", epsilon=0.2)), [build_frame("cardinal6")]),
+         "^expected 2 frames, got 1$"),
     ],
     ids=["tensor-shape", "node-arrays", "index-digit", "index-length", "quadrature-nodes",
-         "quadrature-weights", "quadrature-kind", "quadrature-count"],
+         "quadrature-weights", "quadrature-kind", "quadrature-count", "frame-count"],
 )
 def test_representations_refusals(call, message):
     with pytest.raises(ValueError, match=message):

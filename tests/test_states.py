@@ -148,6 +148,9 @@ def test_state_json_keys():
     for family in (["werner"], True, None, 7):
         with pytest.raises(ValueError, match=f"family must be a string, got {re.escape(repr(family))}$"):
             StateSpec.from_json({"family": family, "epsilon": 0.2})
+        # a direct construction is refused alike
+        with pytest.raises(ValueError, match=f"^family must be a string, got {re.escape(repr(family))}$"):
+            StateSpec(family, epsilon=0.2)
 
 
 def test_bound_values():
@@ -180,6 +183,17 @@ def test_bounds_are_correctly_rounded_at_every_n():
     assert bound_duer(1025) == math.ldexp(1.0, -1024)
     # where the float division first rounded twice, the value is now the nearest double
     assert bound_general(27) == float(Fraction(1, 1 + 2**53))
+
+
+def test_bounds_read_numpy_integers_as_python_ints():
+    # 2 ** (2 n - 1) and 3 ** n in int64 or int32 would wrap
+    for bound, low in ((bound_general, 1), (bound_cat, 2), (bound_duer, 2)):
+        for n in range(low, 1101):
+            exact = bound(n)
+            assert bound(np.int64(n)) == exact and bound(np.int32(n)) == exact, (bound, n)
+        for bad in (2.5, True, np.float64(3.0)):
+            with pytest.raises(ValueError, match=f"^qubit count must be an integer, got {re.escape(repr(bad))}$"):
+                bound(bad)
 
 
 def test_bound_domains():
@@ -273,6 +287,10 @@ def test_ensemble_validation():
         ProductEnsemble(1, (EnsembleTerm(0.5, (z,)), EnsembleTerm(0.5 + 1e-13, (z,))))
     with pytest.raises(ValueError):
         ProductEnsemble(1, (EnsembleTerm(1e308, (z,)),) * 2)  # would overflow the sum
+    # fewer than one qubit is refused before anything else is read
+    for qubits in (0, -1):
+        with pytest.raises(ValueError, match="^qubit count must be at least 1$"):
+            ProductEnsemble(qubits, (EnsembleTerm(1.0, ()),))
     # the components are read as one flat run, so each vector's count is checked first
     for bad in (((0, 0, 1, 0), (0, 1)), ((0, 0, 1, 0),) * 3):
         with pytest.raises(ValueError, match="three components"):

@@ -31,6 +31,8 @@ from .representations import FOUR_PI, PauliCoefficients, _mode_contract
 # is thinned (poles and equator survive thinning because they sit on every
 # even grid)
 SCAN_BUDGET = 8_000_000
+# grid values within this of the grid minimum are its ties; at most _TIE_CAP are listed
+_TIE_WIDTH = 1e-12
 _TIE_CAP = 24
 # refinement rounds until one lowers nothing; this only bounds a slow descent
 _MAX_SWEEPS = 200
@@ -97,6 +99,32 @@ def _scan_grid(count: int) -> tuple[np.ndarray, np.ndarray]:
 # hold under 400 KB, where one N = 1 grid near SCAN_BUDGET holds 320 MB
 _CACHED_GRID_COUNT = 1000
 _cached_scan_grid = functools.lru_cache(maxsize=8)(_scan_grid)
+
+
+def _scan(c: PauliCoefficients, grid_per_sphere: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The angles and unit vectors of the per-sphere grid minimize_wcan scans for c,
+    thinned to SCAN_BUDGET, and the table of w over its product."""
+    n = c.qubits
+    count = _scan_count(grid_per_sphere, n)
+    angles, nodes = (_cached_scan_grid if count <= _CACHED_GRID_COUNT else _scan_grid)(count)
+    if len(angles) ** n > 4 * SCAN_BUDGET:
+        raise ValueError(f"product grid scan is infeasible for {n} qubits")
+    return angles, nodes, c.node_values([nodes] * n)
+
+
+def _tie_gap(c: PauliCoefficients, grid_per_sphere: int) -> float:
+    """How far the least scanned value that does not tie the grid minimum of
+    minimize_wcan lies above that minimum; inf when every scanned value ties."""
+    flat = _scan(c, grid_per_sphere)[2].reshape(-1)
+    low = flat.min()
+    above = flat[flat > low + _TIE_WIDTH]
+    return float(above.min() - low) if above.size else math.inf
+
+
+def _evaluate(c: PauliCoefficients, vecs: np.ndarray) -> float:
+    """w at one product point, given as (N, 3) unit vectors: the evaluation
+    behind every value the refinement of minimize_wcan reports."""
+    return float(c.node_values(vecs[:, None, :]).reshape(()))
 
 
 class MinimizeResult(NamedTuple):
@@ -189,24 +217,16 @@ def minimize_wcan(
     scanned value ties the grid minimum within 1e-12, capped at 24 entries.
     """
     n = c.qubits
-    count = _scan_count(grid_per_sphere, n)
-    angles, nodes = (_cached_scan_grid if count <= _CACHED_GRID_COUNT else _scan_grid)(count)
-    if len(angles) ** n > 4 * SCAN_BUDGET:
-        raise ValueError(f"product grid scan is infeasible for {n} qubits")
-
-    table = c.node_values([nodes] * n)
+    angles, nodes, table = _scan(c, grid_per_sphere)
     flat = table.reshape(-1)
     best_flat = int(np.argmin(flat))
     value = float(flat[best_flat])
 
-    tie_flats = np.flatnonzero(flat <= value + 1e-12)[:_TIE_CAP]
+    tie_flats = np.flatnonzero(flat <= value + _TIE_WIDTH)[:_TIE_CAP]
     shape = table.shape
     # one gather: the (theta, phi) rows of every qubit of every tie
     tie_angles = angles[np.stack(np.unravel_index(tie_flats, shape), 1)].tolist()
     ties = tuple(tuple(map(tuple, tie)) for tie in tie_angles)
-
-    def evaluate(trial: np.ndarray) -> float:
-        return float(c.node_values(trial[:, None, :]).reshape(()))
 
     scale = (3.0 / FOUR_PI) ** n
     vecs = nodes[list(np.unravel_index(best_flat, shape))]
@@ -222,7 +242,7 @@ def minimize_wcan(
                 continue
             trial = vecs.copy()
             trial[k] = -b / norm
-            trial_value = evaluate(trial)
+            trial_value = _evaluate(c, trial)
             if trial_value < value:
                 vecs, value, lowered = trial, trial_value, True
                 slopes, cross = _derivatives(c.coeffs, vecs)
@@ -231,7 +251,7 @@ def minimize_wcan(
         for halvings in range(_MAX_HALVINGS if scale * gain > _GAIN_FLOOR * abs(value) else 0):
             trial = vecs + move * 0.5**halvings
             trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-            trial_value = evaluate(trial)
+            trial_value = _evaluate(c, trial)
             if trial_value < value:
                 vecs, value, lowered = trial, trial_value, True
                 slopes, cross = _derivatives(c.coeffs, vecs)

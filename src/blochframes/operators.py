@@ -89,7 +89,9 @@ def _require_entries(entries: int, what: str, *args) -> None:
 
 def _require_qubits(n: int, what: str, *args) -> None:
     """Refuse an N-qubit array of 4^N complex entries (a 2^N x 2^N operator, a Pauli
-    tensor) before it is allocated, as what % args on n qubits."""
+    tensor) before it is allocated, as what % args on n qubits.  n is read as a Python
+    int, so a numpy integer cannot wrap the size."""
+    n = _json_number("qubit count", n, int)
     if 4 ** min(n, 64) > MAX_ENTRIES:
         what = f"{what % args} on {n} qubits (4^{n} entries)"
         raise ValueError(f"{what} is above the limit of {MAX_ENTRIES} entries")

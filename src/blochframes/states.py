@@ -296,6 +296,7 @@ def cat_ensemble(n: int) -> ProductEnsemble:
     those patterns every lower-order correlation cancels, and the strings' own
     correlations sum to the cat coherence.  The weights sum to eps_N (1 + 2^(N-1)) = 1.
     """
+    n = _json_number("qubit count", n, int)  # a Python int, so the count cannot wrap
     eps = bound_duer(n)
     count = 2 + 4 ** (n - 1)
     _require_entries(3 * count * n, "the cat ensemble on %s qubits (%s terms)", n, count)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -279,37 +281,53 @@ def test_min_wcan_threshold_search(capsys):
         assert abs(json.loads(out)["threshold"] - expected) < 1e-12, state
 
 
+def _count_minimizations(monkeypatch) -> list:
+    """The Pauli tensors that each later minimize_wcan call, from cli or from
+    threshold_search, minimizes."""
+    import blochframes.cli as cli
+    import blochframes.minimize as minimize
+
+    calls = []
+    minimize_wcan = minimize.minimize_wcan
+    for module in (cli, minimize):
+        monkeypatch.setattr(module, "minimize_wcan", lambda c, *a, **k: calls.append(c) or minimize_wcan(c, *a, **k))
+    return calls
+
+
+def _cat_tensor(n: int) -> np.ndarray:
+    return pauli_coefficients(build_state(StateSpec("cat", n))).coeffs
+
+
 def test_min_wcan_threshold_search_minimizes_its_own_target_once(capsys, monkeypatch):
     import blochframes.cli as cli
     import blochframes.minimize as minimize
 
-    # an earlier request may have left an eps = 1 target's threshold in the memo
-    cli._family_threshold.cache_clear()
-    calls = []
-    minimize_wcan = minimize.minimize_wcan
-    for module in (cli, minimize):
-        monkeypatch.setattr(module, "minimize_wcan", lambda *a, **k: calls.append(1) or minimize_wcan(*a, **k))
+    # an earlier request may have left a cat minimization in the memo
+    cli._cat_minimum.cache_clear()
+    calls = _count_minimizations(monkeypatch)
     werner_half = [[0.375, 0, 0, 0.25], [0, 0.125, 0, 0], [0, 0, 0.125, 0], [0.25, 0, 0, 0.375]]
     thresholds = {}
-    # the first eps-family request minimizes the state and its eps = 1 target, and
-    # the target's threshold is kept, so one at another eps minimizes the state
-    # only; every other request's target is the state itself
-    for state, minimizations in [
-        ({"family": "custom_matrix", "matrix": werner_half}, 1),
-        ({"family": "custom_matrix", "epsilon": 0.3, "matrix": werner_half}, 1),
-        ({"family": "cat", "n": 3}, 1),
-        ({"family": "cat", "n": 3, "epsilon": 0.4}, 1),
-        ({"family": "maximally_mixed", "n": 2}, 1),
-        ({"family": "eps_cat", "n": 3, "epsilon": 0.2}, 2),
-        ({"family": "eps_cat", "n": 3, "epsilon": 0.6}, 1),
-        ({"family": "eps_cat", "n": 3, "epsilon": 1.0}, 1),
+    # the first request of a cat family minimizes the N-qubit cat state twice, for
+    # its threshold and for its argmin, and both are kept: every later request of
+    # the cat families on N qubits minimizes nothing; every other state is its
+    # own target and is minimized once
+    for state, minimizations, on_cat in [
+        ({"family": "custom_matrix", "matrix": werner_half}, 1, False),
+        ({"family": "custom_matrix", "epsilon": 0.3, "matrix": werner_half}, 1, False),
+        ({"family": "cat", "n": 3}, 2, True),
+        ({"family": "cat", "n": 3, "epsilon": 0.4}, 0, True),
+        ({"family": "maximally_mixed", "n": 2}, 1, False),
+        ({"family": "eps_cat", "n": 3, "epsilon": 0.2}, 0, True),
+        ({"family": "eps_cat", "n": 3, "epsilon": 0.6}, 0, True),
+        ({"family": "eps_cat", "n": 3, "epsilon": 1.0}, 0, True),
     ]:
         calls.clear()
         argv = ["min-wcan", "--state", json.dumps(state), "--grid", "12", "--threshold-search"]
         code, out, err = run_cli(capsys, argv)
         assert code == 0, state
         assert len(calls) == minimizations, state
-        # the report is the one a fresh minimization of the target gives
+        assert all(np.array_equal(c.coeffs, _cat_tensor(3)) == on_cat for c in calls), state
+        # the threshold is the one a fresh minimization of the target gives
         report = json.loads(out)
         pure = state if state["family"] == "custom_matrix" else {**state, "epsilon": 1.0}
         c = pauli_coefficients(build_state(StateSpec.from_json(pure)))
@@ -320,8 +338,9 @@ def test_min_wcan_threshold_search_minimizes_its_own_target_once(capsys, monkeyp
 
 
 def _parent_report(state: dict, grid: int, refine: int) -> str:
-    """The min-wcan --threshold-search stdout computed as it was before the eps = 1
-    target's threshold was kept: a fresh threshold_search of that target."""
+    """The min-wcan --threshold-search stdout computed as it was before the cat
+    minimization was kept: a full search of the state and a fresh
+    threshold_search of its eps = 1 target."""
     from blochframes.minimize import minimize_wcan, threshold_search
 
     spec = StateSpec.from_json(state)
@@ -345,6 +364,72 @@ def _parent_report(state: dict, grid: int, refine: int) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _check_family_report(out: str, state: dict, grid: int, refine: int) -> None:
+    """An eps-family report read off the kept cat minimization against the full
+    search's: every key but min and argmin has the same bytes, min is the value
+    of w at the reported argmin, and it is within 1e-14 of the full search's,
+    relative to that or to u = (4 pi)^-N, whichever is larger: near the
+    threshold w_eps = (1 - eps) u + eps w_cat cancels to about 0, so both values
+    keep only the digits of u."""
+    from blochframes import BlochVector
+
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2) + "\n", state
+    parent = json.loads(_parent_report(state, grid, refine))
+    assert list(report) == list(parent), state
+    full = parent.pop("min")
+    del parent["argmin"]
+    rest = {key: value for key, value in report.items() if key in parent}
+    assert json.dumps(rest, indent=2) == json.dumps(parent, indent=2), state
+    c = pauli_coefficients(build_state(StateSpec.from_json(state)))
+    argmin = [BlochVector(*entry["vector"]) for entry in report["argmin"]]
+    assert report["min"] == wcan_continuous(c, argmin), state
+    assert abs(report["min"] - full) <= 1e-14 * max(abs(full), (4 * math.pi) ** -c.qubits), state
+
+
+def _min_wcan_text(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0, argv
+    return buf.getvalue()
+
+
+_FAMILY_STATES = st.one_of(
+    st.just({"family": "werner"}),
+    st.just({"family": "eps_ghz"}),
+    st.builds(lambda n: {"family": "eps_cat", "n": n}, st.integers(1, 4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    state=_FAMILY_STATES,
+    eps=st.floats(0.0, 1.0, exclude_min=True),
+    grid_refine=st.sampled_from([(6, 0), (12, 1), (24, 3)]),
+)
+def test_min_wcan_reads_an_eps_family_off_the_kept_cat_minimization(state, eps, grid_refine):
+    grid, refine = grid_refine
+    given = {**state, "epsilon": eps}
+    argv = ["min-wcan", "--state", json.dumps(given), "--grid", str(grid), "--refine", str(refine),
+            "--threshold-search"]
+    _check_family_report(_min_wcan_text(argv), given, grid, refine)
+
+
+def test_min_wcan_searches_an_eps_below_the_tie_guard_in_full(capsys, monkeypatch):
+    import blochframes.cli as cli
+
+    # at eps = 1e-12 the cat state's non-tied grid values fall within the tie width,
+    # so the kept cat ties would not be the state's: the state is searched in full
+    state = {"family": "eps_cat", "n": 3, "epsilon": 1e-12}
+    run_cli(capsys, ["min-wcan", "--state", json.dumps(state), "--threshold-search"])
+    calls = _count_minimizations(monkeypatch)
+    code, out, err = run_cli(capsys, ["min-wcan", "--state", json.dumps(state), "--threshold-search"])
+    assert code == 0
+    assert len(calls) == 1 and not np.array_equal(calls[0].coeffs, _cat_tensor(3))
+    assert cli._cat_minimum(3, 24, True).tie_gap * 1e-12 < 2e-12
+    assert out == _parent_report(state, 24, 3)
+
+
 @pytest.mark.parametrize("grid, refine", [(6, 0), (12, 1), (24, 3)])
 @pytest.mark.parametrize(
     "state",
@@ -354,36 +439,33 @@ def _parent_report(state: dict, grid: int, refine: int) -> str:
 def test_min_wcan_kept_target_threshold_gives_the_fresh_report(capsys, state, grid, refine):
     import blochframes.cli as cli
 
-    cli._family_threshold.cache_clear()
-    # the first request computes the target's threshold, the second reads it back
+    cli._cat_minimum.cache_clear()
+    # the first request minimizes the cat state, the second reads it back
     for eps in (0.3, 0.05):
         given = {**state, "epsilon": eps}
         argv = ["min-wcan", "--state", json.dumps(given), "--grid", str(grid), "--refine", str(refine),
                 "--threshold-search"]
         code, out, err = run_cli(capsys, argv)
         assert code == 0, given
-        assert out == _parent_report(given, grid, refine), given
-    assert cli._family_threshold.cache_info().hits == 1
+        _check_family_report(out, given, grid, refine)
+    assert cli._cat_minimum.cache_info().hits == 1
 
 
 def test_min_wcan_eps_families_share_the_cat_target_threshold(capsys, monkeypatch):
     import blochframes.cli as cli
-    import blochframes.minimize as minimize
 
-    cli._family_threshold.cache_clear()
-    calls = []
-    minimize_wcan = minimize.minimize_wcan
-    for module in (cli, minimize):
-        monkeypatch.setattr(module, "minimize_wcan", lambda *a, **k: calls.append(1) or minimize_wcan(*a, **k))
+    cli._cat_minimum.cache_clear()
+    calls = _count_minimizations(monkeypatch)
     # every eps-family's eps = 1 target is the N-qubit cat state, and every positive
-    # --refine refines alike, so the cat target is minimized once per N: the
-    # request that first needs it minimizes twice, every later one once
+    # --refine refines alike, so the cat state is minimized once per N, for its
+    # threshold and its argmin: the request that first needs it minimizes twice,
+    # every later one not at all
     for state, refine, minimizations in [
         ({"family": "werner", "epsilon": 0.3}, 3, 2),
-        ({"family": "eps_cat", "n": 2, "epsilon": 0.05}, 3, 1),
-        ({"family": "eps_cat", "n": 2, "epsilon": 0.2}, 1, 1),
+        ({"family": "eps_cat", "n": 2, "epsilon": 0.05}, 3, 0),
+        ({"family": "eps_cat", "n": 2, "epsilon": 0.2}, 1, 0),
         ({"family": "eps_ghz", "epsilon": 0.3}, 3, 2),
-        ({"family": "eps_cat", "n": 3, "epsilon": 0.05}, 3, 1),
+        ({"family": "eps_cat", "n": 3, "epsilon": 0.05}, 3, 0),
     ]:
         calls.clear()
         argv = ["min-wcan", "--state", json.dumps(state), "--grid", "12", "--refine", str(refine),
@@ -391,8 +473,8 @@ def test_min_wcan_eps_families_share_the_cat_target_threshold(capsys, monkeypatc
         code, out, err = run_cli(capsys, argv)
         assert code == 0, state
         assert len(calls) == minimizations, state
-        assert out == _parent_report(state, 12, refine), state
-    assert cli._family_threshold.cache_info().currsize == 2
+        _check_family_report(out, state, 12, refine)
+    assert cli._cat_minimum.cache_info().currsize == 2
 
 
 def test_min_wcan_threshold_search_seven_qubits(capsys):

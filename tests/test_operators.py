@@ -231,3 +231,18 @@ def test_flagged_operator_is_stored_exactly_hermitian():
     exact = _skewed_ghz(0.0)
     assert DenseOperator(exact, 3, hermitian=True).matrix.tobytes() == exact.tobytes()
     assert hermitian_eigenvalues(DenseOperator(_skewed_ghz(0.8), 3))[0] == pytest.approx(0.1)
+
+
+def test_the_size_rule_reads_numpy_qubit_counts_as_python_ints():
+    from blochframes.operators import _require_qubits
+
+    # 4 ** 40 in int64 and 4 ** 31 in int32 wrap to sizes that would pass
+    for n in (np.int64(40), np.int32(31)):
+        with pytest.raises(ValueError) as err:
+            _require_qubits(n, "x")
+        with pytest.raises(ValueError) as python_int:
+            _require_qubits(int(n), "x")
+        assert str(err.value) == str(python_int.value) == (
+            f"x on {int(n)} qubits (4^{int(n)} entries) is above the limit of 1048576 entries"
+        )
+    _require_qubits(np.int64(3), "x")

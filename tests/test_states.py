@@ -590,6 +590,22 @@ def test_ensembles_beyond_the_size_budget_are_refused():
     assert len(cat_ensemble(9).terms) == 2 + 4**8
 
 
+def test_cat_ensemble_reads_a_numpy_qubit_count_as_a_python_int(monkeypatch):
+    import blochframes.states as states
+
+    # 2 + 4 ** 39 wraps to 2 in int64, which would pass the size check; a term
+    # built fails the test at once instead of running on to 4^39 terms
+    def no_term(*args):
+        raise AssertionError("a term was built")
+
+    monkeypatch.setattr(states, "EnsembleTerm", no_term)
+    with pytest.raises(ValueError) as err:
+        cat_ensemble(np.int64(40))
+    assert str(err.value) == (
+        f"the cat ensemble on 40 qubits ({2 + 4**39} terms) is above the limit of 2097152 entries"
+    )
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

@@ -30,22 +30,11 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import NamedTuple
-
-import numpy as np
 
 from .frames import Frame, build_frame, frame_from_json
-from .minimize import (
-    _TIE_WIDTH,
-    MinimizeResult,
-    _evaluate,
-    _threshold,
-    _tie_gap,
-    minimize_wcan,
-    threshold_search,
-)
+from .minimize import _TIE_WIDTH, MinimizeResult, _threshold, minimize_wcan, threshold_search
 from .operators import RECONSTRUCTION_TOL, SIGN_TOL, _deviation
-from .representations import PauliCoefficients, pauli_coefficients, wcan_discrete
+from .representations import PauliCoefficients, pauli_coefficients, wcan_continuous, wcan_discrete
 from .separability import ppt_min_eigenvalue, witness_ghz, witness_werner
 from .states import (
     _MIXTURES,
@@ -290,27 +279,18 @@ def cmd_verify_ensemble(args) -> int:
 _CAT_FAMILIES = frozenset(family for family, (_, eps) in _MIXTURES.items() if eps != 0.0)
 
 
-class _CatMinimum(NamedTuple):
-    """What a process keeps of the minimization of the n-qubit cat state; not its
-    Pauli tensor, which nothing reads again and which takes 2 MB at n = 9."""
-
-    threshold: float
-    result: MinimizeResult
-    tie_gap: float  # from the grid minimum up to the least scanned value that is not a tie
-
-
 @functools.lru_cache(maxsize=64)
-def _cat_minimum(n: int, grid: int, refined: bool) -> _CatMinimum:
-    """The n-qubit cat state's threshold_search, minimize_wcan and tie gap: the
-    eps = 1 target of every eps-family.  minimize_wcan refines alike at every
-    positive count, so each key is minimized once per process; the module's
-    threshold_search is looked up at call time."""
+def _cat_minimum(n: int, grid: int, refined: bool) -> tuple[float, MinimizeResult]:
+    """The n-qubit cat state's threshold_search and minimize_wcan: the eps = 1
+    target of every eps-family, kept without its Pauli tensor, which nothing
+    reads again and which takes 2 MB at n = 9.  minimize_wcan refines alike at
+    every positive count, so each key is computed once per process; the
+    module's threshold_search is looked up at call time."""
     pure = pauli_coefficients(build_state(StateSpec("cat", n)))
     refine = int(refined)
-    return _CatMinimum(
+    return (
         threshold_search(pure, grid_per_sphere=grid, refine_iters=refine),
         minimize_wcan(pure, grid_per_sphere=grid, refine_iters=refine),
-        _tie_gap(pure, grid),
     )
 
 
@@ -324,13 +304,13 @@ def cmd_min_wcan(args) -> int:
     c = pauli_coefficients(rho)
     cat = None
     if spec.family in _CAT_FAMILIES:
-        cat = _cat_minimum(rho.qubits, args.grid, args.refine > 0)
+        cat_threshold, cat = _cat_minimum(rho.qubits, args.grid, args.refine > 0)
         fixed = _MIXTURES[spec.family][1]
         eps = spec.epsilon if fixed is None else fixed
     # w_eps = (1 - eps) u + eps w_cat has the cat state's minimizers at eps > 0, and
     # its grid ties while eps times the cat's tie gap is twice the tie width or more
     if cat is not None and eps * cat.tie_gap >= 2.0 * _TIE_WIDTH:
-        result = cat.result._replace(value=_evaluate(c, np.array(cat.result.argmin)))
+        result = cat._replace(value=wcan_continuous(c, cat.argmin))
     else:
         result = minimize_wcan(c, grid_per_sphere=args.grid, refine_iters=args.refine)
     argmin = []
@@ -349,7 +329,7 @@ def cmd_min_wcan(args) -> int:
     if args.threshold_search:
         # the target is the family at eps = 1: the N-qubit cat state for the cat
         # families, else the state just minimized
-        payload["threshold"] = _threshold(c, result.value) if cat is None else cat.threshold
+        payload["threshold"] = _threshold(c, result.value) if cat is None else cat_threshold
     _emit(args, payload)
     return EXIT_OK
 

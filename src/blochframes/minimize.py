@@ -85,42 +85,6 @@ def _scan_count(request: int, n: int) -> int:
     return count
 
 
-def _scan_grid(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """sphere_grid(count) and its unit vectors, both read-only."""
-    angles = sphere_grid(count)
-    theta, phi = angles.T
-    nodes = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], 1)
-    angles.setflags(write=False)
-    nodes.setflags(write=False)
-    return angles, nodes
-
-
-# the last few small grids are kept for reuse: eight of at most 1000 points
-# hold under 400 KB, where one N = 1 grid near SCAN_BUDGET holds 320 MB
-_CACHED_GRID_COUNT = 1000
-_cached_scan_grid = functools.lru_cache(maxsize=8)(_scan_grid)
-
-
-def _scan(c: PauliCoefficients, grid_per_sphere: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The angles and unit vectors of the per-sphere grid minimize_wcan scans for c,
-    thinned to SCAN_BUDGET, and the table of w over its product."""
-    n = c.qubits
-    count = _scan_count(grid_per_sphere, n)
-    angles, nodes = (_cached_scan_grid if count <= _CACHED_GRID_COUNT else _scan_grid)(count)
-    if len(angles) ** n > 4 * SCAN_BUDGET:
-        raise ValueError(f"product grid scan is infeasible for {n} qubits")
-    return angles, nodes, c.node_values([nodes] * n)
-
-
-def _tie_gap(c: PauliCoefficients, grid_per_sphere: int) -> float:
-    """How far the least scanned value that does not tie the grid minimum of
-    minimize_wcan lies above that minimum; inf when every scanned value ties."""
-    flat = _scan(c, grid_per_sphere)[2].reshape(-1)
-    low = flat.min()
-    above = flat[flat > low + _TIE_WIDTH]
-    return float(above.min() - low) if above.size else math.inf
-
-
 def _evaluate(c: PauliCoefficients, vecs: np.ndarray) -> float:
     """w at one product point, given as (N, 3) unit vectors: the evaluation
     behind every value the refinement of minimize_wcan reports."""
@@ -132,6 +96,7 @@ class MinimizeResult(NamedTuple):
     argmin: tuple[BlochVector, ...]
     grid_ties: tuple[tuple[tuple[float, float], ...], ...]
     grid_used: int  # points per sphere actually scanned, after budget thinning
+    tie_gap: float  # from the grid minimum up to the least scanned value that does not tie it
 
 
 class _Layout(NamedTuple):
@@ -215,18 +180,29 @@ def minimize_wcan(
 
     grid_ties lists the grid configurations (as (theta, phi) per qubit) whose
     scanned value ties the grid minimum within 1e-12, capped at 24 entries.
+    tie_gap, from the same scan, is how far the least scanned value that does
+    not tie lies above the grid minimum, inf when every scanned value ties.
     """
     n = c.qubits
-    angles, nodes, table = _scan(c, grid_per_sphere)
+    angles = sphere_grid(_scan_count(grid_per_sphere, n))
+    if len(angles) ** n > 4 * SCAN_BUDGET:
+        raise ValueError(f"product grid scan is infeasible for {n} qubits")
+    theta, phi = angles.T
+    nodes = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], 1)
+    table = c.node_values([nodes] * n)
     flat = table.reshape(-1)
     best_flat = int(np.argmin(flat))
     value = float(flat[best_flat])
 
-    tie_flats = np.flatnonzero(flat <= value + _TIE_WIDTH)[:_TIE_CAP]
+    tie_flats = np.flatnonzero(flat <= value + _TIE_WIDTH)
     shape = table.shape
     # one gather: the (theta, phi) rows of every qubit of every tie
-    tie_angles = angles[np.stack(np.unravel_index(tie_flats, shape), 1)].tolist()
+    tie_angles = angles[np.stack(np.unravel_index(tie_flats[:_TIE_CAP], shape), 1)].tolist()
     ties = tuple(tuple(map(tuple, tie)) for tie in tie_angles)
+    # the table is this call's own and is not read again, so its ties can go
+    # to inf in place: the least value left is the least one that does not tie
+    flat[tie_flats] = np.inf
+    tie_gap = float(flat.min()) - value
 
     scale = (3.0 / FOUR_PI) ** n
     vecs = nodes[list(np.unravel_index(best_flat, shape))]
@@ -260,7 +236,7 @@ def minimize_wcan(
             break
 
     argmin = tuple(BlochVector.from_array(v) for v in vecs)
-    return MinimizeResult(value, argmin, ties, len(angles))
+    return MinimizeResult(value, argmin, ties, len(angles), tie_gap)
 
 
 def mix_with_identity(pure: PauliCoefficients, epsilon: float) -> PauliCoefficients:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochframes import (
+    PauliCoefficients,
     StateSpec,
     build_frame,
     build_state,
@@ -298,6 +299,21 @@ def _cat_tensor(n: int) -> np.ndarray:
     return pauli_coefficients(build_state(StateSpec("cat", n))).coeffs
 
 
+def _count_grid_scans(monkeypatch) -> list:
+    """The Pauli tensors that each later full-grid node_values call scans; the
+    single-point evaluations of refinement and of a kept argmin are not counted."""
+    calls = []
+    node_values = PauliCoefficients.node_values
+
+    def counted(self, nodes_per_qubit):
+        if len(nodes_per_qubit[0]) > 1:
+            calls.append(self)
+        return node_values(self, nodes_per_qubit)
+
+    monkeypatch.setattr(PauliCoefficients, "node_values", counted)
+    return calls
+
+
 def test_min_wcan_threshold_search_minimizes_its_own_target_once(capsys, monkeypatch):
     import blochframes.cli as cli
     import blochframes.minimize as minimize
@@ -305,12 +321,14 @@ def test_min_wcan_threshold_search_minimizes_its_own_target_once(capsys, monkeyp
     # an earlier request may have left a cat minimization in the memo
     cli._cat_minimum.cache_clear()
     calls = _count_minimizations(monkeypatch)
+    scans = _count_grid_scans(monkeypatch)
     werner_half = [[0.375, 0, 0, 0.25], [0, 0.125, 0, 0], [0, 0, 0.125, 0], [0.25, 0, 0, 0.375]]
     thresholds = {}
     # the first request of a cat family minimizes the N-qubit cat state twice, for
     # its threshold and for its argmin, and both are kept: every later request of
     # the cat families on N qubits minimizes nothing; every other state is its
-    # own target and is minimized once
+    # own target and is minimized once.  Each minimization scans its grid once,
+    # and the tie gap comes from that scan
     for state, minimizations, on_cat in [
         ({"family": "custom_matrix", "matrix": werner_half}, 1, False),
         ({"family": "custom_matrix", "epsilon": 0.3, "matrix": werner_half}, 1, False),
@@ -322,11 +340,14 @@ def test_min_wcan_threshold_search_minimizes_its_own_target_once(capsys, monkeyp
         ({"family": "eps_cat", "n": 3, "epsilon": 1.0}, 0, True),
     ]:
         calls.clear()
+        scans.clear()
         argv = ["min-wcan", "--state", json.dumps(state), "--grid", "12", "--threshold-search"]
         code, out, err = run_cli(capsys, argv)
         assert code == 0, state
         assert len(calls) == minimizations, state
         assert all(np.array_equal(c.coeffs, _cat_tensor(3)) == on_cat for c in calls), state
+        assert len(scans) == minimizations, state
+        assert all(np.array_equal(c.coeffs, _cat_tensor(3)) == on_cat for c in scans), state
         # the threshold is the one a fresh minimization of the target gives
         report = json.loads(out)
         pure = state if state["family"] == "custom_matrix" else {**state, "epsilon": 1.0}
@@ -426,7 +447,7 @@ def test_min_wcan_searches_an_eps_below_the_tie_guard_in_full(capsys, monkeypatc
     code, out, err = run_cli(capsys, ["min-wcan", "--state", json.dumps(state), "--threshold-search"])
     assert code == 0
     assert len(calls) == 1 and not np.array_equal(calls[0].coeffs, _cat_tensor(3))
-    assert cli._cat_minimum(3, 24, True).tie_gap * 1e-12 < 2e-12
+    assert cli._cat_minimum(3, 24, True)[1].tie_gap * 1e-12 < 2e-12
     assert out == _parent_report(state, 24, 3)
 
 

@@ -18,7 +18,7 @@ from blochframes import (
     wcan_continuous,
 )
 import blochframes.minimize as minimize
-from blochframes.minimize import SCAN_BUDGET, _cached_scan_grid, _derivatives, _scan_count, _threshold
+from blochframes.minimize import SCAN_BUDGET, _derivatives, _scan_count, _threshold
 from blochframes.operators import _pauli_rows
 from blochframes.representations import _mode_contract
 from conftest import random_density
@@ -132,18 +132,31 @@ def _former_node_values(self, nodes_per_qubit):
     return (3.0 / FOUR_PI) ** self.qubits * _mode_contract(self.coeffs, mats)
 
 
-def _former_ties(c, grid):
-    # the tie report as it was: one angles row per qubit per tie, read in Python
+def _former_grid(c, grid):
     angles = sphere_grid(_scan_count(grid, c.qubits))
     theta, phi = angles.T
     nodes = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], 1)
-    table = _former_node_values(c, [nodes] * c.qubits)
+    return angles, [nodes] * c.qubits
+
+
+def _former_ties(c, grid):
+    # the tie report as it was: one angles row per qubit per tie, read in Python
+    angles, nodes = _former_grid(c, grid)
+    table = _former_node_values(c, nodes)
     flat = table.reshape(-1)
     tie_flats = np.flatnonzero(flat <= flat.min() + 1e-12)[:24]
     return tuple(
         tuple(tuple(angles[i].tolist()) for i in np.unravel_index(t, table.shape))
         for t in tie_flats
     )
+
+
+def _former_tie_gap(c, grid):
+    # the tie gap as a second scan gave it: the values above the ties, then their minimum
+    flat = c.node_values(_former_grid(c, grid)[1]).reshape(-1)
+    low = flat.min()
+    above = flat[flat > low + 1e-12]
+    return float(above.min() - low) if above.size else math.inf
 
 
 @pytest.mark.parametrize("refine", [0, 1])
@@ -158,6 +171,7 @@ def test_scan_matches_former_scan_and_tie_report(rng, monkeypatch, refine):
     results = [minimize_wcan(c, grid, refine) for c, grid in cases]
     for (c, grid), res in zip(cases, results):
         assert res.grid_ties == _former_ties(c, grid)
+        assert res.tie_gap == _former_tie_gap(c, grid)
     monkeypatch.setattr(PauliCoefficients, "node_values", _former_node_values)
     for (c, grid), res in zip(cases, results):
         former = minimize_wcan(c, grid, refine)
@@ -165,34 +179,16 @@ def test_scan_matches_former_scan_and_tie_report(rng, monkeypatch, refine):
         assert res.argmin == former.argmin
         assert res.grid_ties == former.grid_ties
         assert res.grid_used == former.grid_used
+        assert res.tie_gap == former.tie_gap
     assert len(results[-1].grid_ties) == 24
-
-
-def test_small_scan_grids_are_cached_read_only_and_bounded():
-    for count in (6, 7, 24, 25, 48, 1000):
-        angles, nodes = _cached_scan_grid(count)
-        assert _cached_scan_grid(count)[0] is angles
-        fresh = sphere_grid(count)
-        theta, phi = fresh.T
-        fresh_nodes = np.stack(
-            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], 1
-        )
-        assert angles.tobytes() == fresh.tobytes()
-        assert nodes.tobytes() == fresh_nodes.tobytes()
-        for array in (angles, nodes):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1.0
-    for count in range(100, 120):
-        _cached_scan_grid(count)
-    assert _cached_scan_grid.cache_info().currsize == 8
+    assert results[-1].tie_gap == math.inf
 
 
 def test_large_scan_keeps_nothing_after_the_call():
     # a one-qubit scan of 200,000 points builds about 8 MB of grid and table;
-    # none of it may outlive the call, and the grid stays out of the cache
+    # none of it may outlive the call
     c = pauli_coefficients(build_state(StateSpec("maximally_mixed", qubits=1)))
     minimize_wcan(c, 200_000, 0)
-    cached = _cached_scan_grid.cache_info()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -203,7 +199,6 @@ def test_large_scan_keeps_nothing_after_the_call():
     assert res.grid_used > 150_000
     assert peak - before > 4_000_000
     assert after - before < 100_000
-    assert _cached_scan_grid.cache_info() == cached
 
 
 def test_ten_qubit_scan_refused_at_every_grid():

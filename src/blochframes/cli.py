@@ -90,7 +90,8 @@ def _read(flag: str, text: str, build):
 
 
 def _frames_from_arg(text: str | None, qubits: int) -> list[Frame]:
-    """One frame per qubit; a single frame spec is broadcast to all qubits."""
+    """The frames of --frames; a single frame spec is broadcast to all qubits, and
+    wcan_discrete refuses a list of another length."""
     if text is None:
         return [build_frame("cardinal6") for _ in range(qubits)]
     frames = _read(
@@ -98,11 +99,7 @@ def _frames_from_arg(text: str | None, qubits: int) -> list[Frame]:
         text,
         lambda data: [frame_from_json(obj) for obj in (data if isinstance(data, list) else [data])],
     )
-    if len(frames) == 1:
-        frames = frames * qubits
-    if len(frames) != qubits:
-        raise ValueError(f"got {len(frames)} frames for {qubits} qubits")
-    return frames
+    return frames * qubits if len(frames) == 1 else frames
 
 
 def _csv_field(value) -> str:
@@ -118,16 +115,11 @@ def _csv_field(value) -> str:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-class _NotPlain(Exception):
-    """A value that _json_text leaves to json's own rules."""
-
-
 def _json_text(payload) -> str:
     """The text json.dumps gives payload at indent=2, written in one recursive
-    pass that formats each distinct float once.  A value other than a dict with
-    str keys, a list, a tuple, a float, an int, a str, a bool or None (a float
-    subclass such as np.float64 too) hands the whole payload to the encoder
-    json.dumps builds, so the text and any error are json's."""
+    pass that formats each distinct float once.  Every report is plain: dicts
+    with str keys, lists, tuples, floats, ints, strs, bools and None.  Any other
+    key or value (np.float64 too) raises TypeError, a value with json's message."""
     parts = []
     put = parts.append
     floats = {}
@@ -163,7 +155,7 @@ def _json_text(payload) -> str:
             sep = "{" + inner
             for key, item in value.items():
                 if type(key) is not str:
-                    raise _NotPlain
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
                 put(sep + _json_str(key) + ": ")
                 walk(item, inner)
                 sep = "," + inner
@@ -177,12 +169,9 @@ def _json_text(payload) -> str:
         elif value is False:
             put("false")
         else:
-            raise _NotPlain
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
-    try:
-        walk(payload, "\n")
-    except _NotPlain:
-        return json.JSONEncoder(indent=2).encode(payload)
+    walk(payload, "\n")
     return "".join(parts)
 
 
@@ -257,10 +246,7 @@ def cmd_verify_ensemble(args) -> int:
         spec = _read("--state", args.state, StateSpec.from_json)
     elif spec is None:
         raise _InputError("--state is required for ensembles loaded from a file")
-    target = build_state(spec)
-    if target.qubits != ensemble.qubits:
-        raise ValueError(f"ensemble acts on {ensemble.qubits} qubits, target on {target.qubits}")
-    deviation = _deviation(ensemble.mixture(), target)
+    deviation = _deviation(ensemble.mixture(), build_state(spec))
     passed = deviation <= args.tol
     _emit(
         args,

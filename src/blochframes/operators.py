@@ -121,9 +121,9 @@ def _require_unit(vectors: BlochVector | Sequence[BlochVector]) -> np.ndarray:
     arr = np.array(vectors, dtype=float).reshape(-1, 3)
     norms = np.sqrt((arr * arr).sum(axis=1))
     # written so that a NaN norm fails too
-    off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
-    if off.size:
-        raise ValueError(f"expected a unit Bloch vector, got norm {float(norms[off[0]])!r}")
+    ok = np.abs(norms - 1.0) <= UNIT_NORM_TOL
+    if not ok.all():
+        raise ValueError(f"expected a unit Bloch vector, got norm {float(norms[~ok][0])!r}")
     return arr
 
 
@@ -233,7 +233,10 @@ def trace_inner(a: DenseOperator, b: DenseOperator) -> complex:
 
 
 def _deviation(a: DenseOperator, b: DenseOperator) -> float:
-    """Frobenius norm of A - B, the deviation RECONSTRUCTION_TOL bounds."""
+    """Frobenius norm of A - B, the deviation RECONSTRUCTION_TOL bounds, between a
+    representation's operator a and its target b; raises unless both act on as many qubits."""
+    if a.qubits != b.qubits:
+        raise ValueError(f"representation acts on {a.qubits} qubits, target on {b.qubits}")
     return float(np.linalg.norm(a.matrix - b.matrix))
 
 

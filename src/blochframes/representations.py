@@ -232,13 +232,18 @@ class CoefficientTable:
             stream.write(f"# min={self.min_entry()!r} sum={self.total()!r}\n")
 
 
+def _require_table(sizes) -> None:
+    """Refuse a table with one axis of each size before it is allocated."""
+    rows = math.prod(sizes)
+    _require_entries(rows, "a table of %s entries", rows)
+
+
 def _table_frames(frames: Sequence[Frame], qubits: int) -> tuple[Frame, ...]:
     """One frame per qubit as a tuple, refused before a table over them passes the limit."""
     frames = tuple(frames)
     if len(frames) != qubits:
         raise ValueError(f"expected {qubits} frames, got {len(frames)}")
-    rows = math.prod(f.size for f in frames)
-    _require_entries(rows, "a table of %s entries", rows)
+    _require_table(f.size for f in frames)
     return frames
 
 
@@ -353,6 +358,7 @@ def reconstruct_continuous(
         quads = tuple(quadrature)
     if len(quads) != n:
         raise ValueError(f"expected {n} quadratures, got {len(quads)}")
+    _require_table(len(q.weights) for q in quads)
     for k, (quad, degree) in enumerate(zip(quads, rep.quadrature_degrees)):
         if not quad.is_exact_to_degree(degree):
             raise ValueError(

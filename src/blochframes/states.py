@@ -189,6 +189,11 @@ class EnsembleTerm(NamedTuple):
     label: str = ""
 
 
+def _require_ensemble(terms: int, qubits: int) -> None:
+    """Refuse an ensemble of that many terms before its (terms, qubits, 3) vectors are built."""
+    _require_entries(3 * terms * qubits, "an ensemble of %s terms on %s qubits", terms, qubits)
+
+
 @dataclass(frozen=True, eq=False)
 class ProductEnsemble:
     """A finite mixture of pure product states, one Bloch vector per qubit."""
@@ -209,8 +214,8 @@ class ProductEnsemble:
                 raise ValueError(f"probability {p} lies outside [0, 1]")
             if len(vectors) != self.qubits:
                 raise ValueError(f"term has {len(vectors)} vectors, expected {self.qubits}")
+        _require_ensemble(len(terms), self.qubits)
         count = 3 * len(terms) * self.qubits
-        _require_entries(count, "an ensemble of %s terms on %s qubits", len(terms), self.qubits)
         # an exactly rounded sum, so thousands of terms do not drift past the tolerance
         total = math.fsum(p for p, _, _ in terms)
         flat = [v for _, term_vectors, _ in terms for v in term_vectors]
@@ -325,8 +330,10 @@ def dilute_with_mixed(e: ProductEnsemble, weight: float) -> ProductEnsemble:
     product mixture over +-z on every qubit; weight is the surviving share of e."""
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
+    mixed = 2 ** int(e.qubits)
+    _require_ensemble(len(e.terms) + mixed, e.qubits)
     terms = [EnsembleTerm(weight * p, vectors, lab) for p, vectors, lab in e.terms]
-    share = (1.0 - weight) / 2**e.qubits
+    share = (1.0 - weight) / mixed
     for signs in itertools.product((1, -1), repeat=e.qubits):
         vectors = tuple(_axis(3, s) for s in signs)
         terms.append(EnsembleTerm(share, vectors, "mixed"))

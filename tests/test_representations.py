@@ -376,6 +376,21 @@ def test_reconstruct_continuous_rejects_weak_quadrature(rng):
         reconstruct_continuous(aug, sphere_quadrature("icosahedron"))
 
 
+def test_reconstruct_continuous_refuses_a_node_table_above_the_limit():
+    c = pauli_coefficients(build_state(StateSpec("eps_cat", qubits=6, epsilon=0.1)))
+    quad = sphere_quadrature("icosahedron")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            reconstruct_continuous(c, quad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 12^6 nodes, refused before one value is computed
+    assert str(err.value) == "a table of 2985984 entries is above the limit of 2097152 entries"
+    assert peak < 2**20
+
+
 def test_degree_residual_matches_monomial_loop():
     def double_factorial(k):
         return math.prod(range(k, 0, -2))

@@ -82,6 +82,16 @@ def test_certify_rejects_wrong_state():
         certify(rho, table)
 
 
+def test_certify_refuses_a_representation_on_other_qubits():
+    # refused by the deviation rule before the two operators are subtracted
+    target = build_state(StateSpec("eps_cat", qubits=3, epsilon=0.1))
+    e = cat_ensemble(2)
+    for representation in (e, ensemble_to_table(e, [build_frame("cardinal6")] * 2)):
+        with pytest.raises(ValueError) as err:
+            certify(target, representation)
+        assert str(err.value) == "representation acts on 2 qubits, target on 3"
+
+
 def test_certify_rejects_nan_state():
     m = np.eye(4) / 4
     m[0, 0] = math.nan

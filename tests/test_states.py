@@ -352,6 +352,20 @@ def test_dilute_with_mixed_reaches_smaller_epsilon():
     assert np.linalg.norm(diluted.mixture().matrix - target.matrix) <= RECONSTRUCTION_TOL
 
 
+def test_dilute_with_mixed_refuses_an_oversized_result_before_building_it():
+    e = ProductEnsemble(16, (EnsembleTerm(1.0, (BlochVector(0.0, 0.0, 1.0),) * 16),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            dilute_with_mixed(e, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the one term and 2^16 mixed ones, refused before the sign loop
+    assert str(err.value) == "an ensemble of 65537 terms on 16 qubits is above the limit of 2097152 entries"
+    assert peak < 2**20
+
+
 def test_ghz_pauli_pattern():
     c = pauli_coefficients(build_state(StateSpec("eps_ghz", epsilon=0.25)))
     nonzero = {}

@@ -30,6 +30,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
+from typing import NamedTuple
 
 from .frames import Frame, build_frame, frame_from_json
 from .minimize import _TIE_WIDTH, MinimizeResult, _threshold, minimize_wcan, threshold_search
@@ -104,6 +105,8 @@ def _frames_from_arg(text: str | None, qubits: int) -> list[Frame]:
 
 def _csv_field(value) -> str:
     # nested values go into one field as JSON; None leaves the field empty
+    if type(value) is _KeptJson:
+        value = value.value
     if isinstance(value, (dict, list, tuple)):
         return json.dumps(value)
     if value is None:
@@ -113,13 +116,30 @@ def _csv_field(value) -> str:
 
 # float repr -> json's spelling of the values outside JSON's number grammar
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# the line break and indent of a top-level key of an indent=2 report
+_KEY_PAD = "\n  "
 
 
-def _json_text(payload) -> str:
+class _KeptJson(NamedTuple):
+    """A report value kept with its JSON text at the indent of a top-level key,
+    where _json_text writes the text verbatim; the CSV format writes the value."""
+
+    value: object
+    text: str
+
+    @classmethod
+    def of(cls, value) -> _KeptJson:
+        return cls(value, _json_text(value, _KEY_PAD))
+
+
+def _json_text(payload, pad: str = "\n") -> str:
     """The text json.dumps gives payload at indent=2, written in one recursive
-    pass that formats each distinct float once.  Every report is plain: dicts
-    with str keys, lists, tuples, floats, ints, strs, bools and None.  Any other
-    key or value (np.float64 too) raises TypeError, a value with json's message."""
+    pass that formats each distinct float once; pad is the line break and indent
+    of the lines that close payload.  Every report is plain: dicts with str
+    keys, lists, tuples, floats, ints, strs, bools and None, and the one kept
+    fragment, a _KeptJson as the value of a top-level key.  Any other key or
+    value (np.float64 too) raises TypeError, a value with json's message, and so
+    does a _KeptJson anywhere else, whose text would be misindented there."""
     parts = []
     put = parts.append
     floats = {}
@@ -157,7 +177,10 @@ def _json_text(payload) -> str:
                 if type(key) is not str:
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
                 put(sep + _json_str(key) + ": ")
-                walk(item, inner)
+                if type(item) is _KeptJson and inner == _KEY_PAD:
+                    put(item.text)
+                else:
+                    walk(item, inner)
                 sep = "," + inner
             put(pad + "}")
         elif kind is int:
@@ -168,10 +191,12 @@ def _json_text(payload) -> str:
             put("true")
         elif value is False:
             put("false")
+        elif kind is _KeptJson:
+            raise TypeError("a kept JSON text is valid only as the value of a top-level key")
         else:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
-    walk(payload, "\n")
+    walk(payload, pad)
     return "".join(parts)
 
 
@@ -265,19 +290,29 @@ def cmd_verify_ensemble(args) -> int:
 _CAT_FAMILIES = frozenset(family for family, (_, eps) in _MIXTURES.items() if eps != 0.0)
 
 
+def _argmin_report(argmin) -> list[dict]:
+    """The report's argmin: the angles and the vector of each direction."""
+    report = []
+    for v in argmin:
+        theta, phi = v.angles()
+        report.append({"theta": theta, "phi": phi, "vector": [v.x, v.y, v.z]})
+    return report
+
+
 @functools.lru_cache(maxsize=64)
-def _cat_minimum(n: int, grid: int, refined: bool) -> tuple[float, MinimizeResult]:
-    """The n-qubit cat state's threshold_search and minimize_wcan: the eps = 1
-    target of every eps-family, kept without its Pauli tensor, which nothing
-    reads again and which takes 2 MB at n = 9.  minimize_wcan refines alike at
-    every positive count, so each key is computed once per process; the
-    module's threshold_search is looked up at call time."""
+def _cat_minimum(n: int, grid: int, refined: bool) -> tuple[float, MinimizeResult, _KeptJson, _KeptJson]:
+    """The n-qubit cat state's threshold_search and minimize_wcan, with the
+    report's argmin and grid_ties of that minimization kept with their JSON
+    text (at most 24 ties, about 12 KB at n = 9): the eps = 1 target of every
+    eps-family, kept without its Pauli tensor, which nothing reads again and
+    which takes 2 MB at n = 9.  minimize_wcan refines alike at every positive
+    count, so each key is computed once per process; the module's
+    threshold_search is looked up at call time."""
     pure = pauli_coefficients(build_state(StateSpec("cat", n)))
     refine = int(refined)
-    return (
-        threshold_search(pure, grid_per_sphere=grid, refine_iters=refine),
-        minimize_wcan(pure, grid_per_sphere=grid, refine_iters=refine),
-    )
+    threshold = threshold_search(pure, grid_per_sphere=grid, refine_iters=refine)
+    cat = minimize_wcan(pure, grid_per_sphere=grid, refine_iters=refine)
+    return threshold, cat, _KeptJson.of(_argmin_report(cat.argmin)), _KeptJson.of(cat.grid_ties)
 
 
 def cmd_min_wcan(args) -> int:
@@ -290,24 +325,23 @@ def cmd_min_wcan(args) -> int:
     c = pauli_coefficients(rho)
     cat = None
     if spec.family in _CAT_FAMILIES:
-        cat_threshold, cat = _cat_minimum(rho.qubits, args.grid, args.refine > 0)
+        cat_threshold, cat, cat_argmin, cat_ties = _cat_minimum(rho.qubits, args.grid, args.refine > 0)
         fixed = _MIXTURES[spec.family][1]
         eps = spec.epsilon if fixed is None else fixed
     # w_eps = (1 - eps) u + eps w_cat has the cat state's minimizers at eps > 0, and
-    # its grid ties while eps times the cat's tie gap is twice the tie width or more
+    # its grid ties while eps times the cat's tie gap is twice the tie width or more;
+    # the report then writes the cat's argmin and ties from their kept JSON text
     if cat is not None and eps * cat.tie_gap >= 2.0 * _TIE_WIDTH:
         result = cat._replace(value=wcan_continuous(c, cat.argmin))
+        argmin, ties = cat_argmin, cat_ties
     else:
         result = minimize_wcan(c, grid_per_sphere=args.grid, refine_iters=args.refine)
-    argmin = []
-    for v in result.argmin:
-        theta, phi = v.angles()
-        argmin.append({"theta": theta, "phi": phi, "vector": [v.x, v.y, v.z]})
+        argmin, ties = _argmin_report(result.argmin), result.grid_ties
     payload = {
         "qubits": rho.qubits,
         "min": result.value,
         "argmin": argmin,
-        "grid_ties": result.grid_ties,
+        "grid_ties": ties,
         "grid": args.grid,
         "grid_used": result.grid_used,
         "refine": args.refine,

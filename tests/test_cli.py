@@ -498,6 +498,92 @@ def test_min_wcan_eps_families_share_the_cat_target_threshold(capsys, monkeypatc
     assert cli._cat_minimum.cache_info().currsize == 2
 
 
+def _full_rendering(report: dict, state: dict, grid: int, refine: int, fmt: str) -> str:
+    """The stdout of an eps-family report at its min, rendered in full from the
+    kept cat minimization's plain values: json.dumps for the JSON formats, and
+    for CSV one header row and one row of fields, nested values as JSON."""
+    import csv
+
+    import blochframes.cli as cli
+
+    threshold, cat = cli._cat_minimum(report["qubits"], grid, refine > 0)[:2]
+    argmin = []
+    for v in cat.argmin:
+        theta, phi = v.angles()
+        argmin.append({"theta": theta, "phi": phi, "vector": [v.x, v.y, v.z]})
+    payload = {
+        "qubits": report["qubits"],
+        "min": report["min"],
+        "argmin": argmin,
+        "grid_ties": cat.grid_ties,
+        "grid": grid,
+        "grid_used": cat.grid_used,
+        "refine": refine,
+        "threshold": threshold,
+    }
+    if fmt != "csv":
+        return json.dumps(payload, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(payload)
+    writer.writerow(
+        json.dumps(v) if isinstance(v, (list, tuple)) else repr(v) if isinstance(v, float) else str(v)
+        for v in payload.values()
+    )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("grid, refine", [(6, 0), (12, 1), (24, 3)])
+@pytest.mark.parametrize(
+    "state",
+    [{"family": "eps_cat", "n": n} for n in (2, 3, 4)] + [{"family": "werner"}, {"family": "eps_ghz"}],
+    ids=lambda state: "-".join(str(v) for v in state.values()),
+)
+def test_min_wcan_warm_report_gives_the_bytes_of_a_full_rendering(capsys, state, grid, refine):
+    import blochframes.cli as cli
+
+    cli._cat_minimum.cache_clear()
+    argv = ["min-wcan", "--grid", str(grid), "--refine", str(refine), "--threshold-search", "--state"]
+    run_cli(capsys, [*argv, json.dumps({**state, "epsilon": 0.3})])
+    given = json.dumps({**state, "epsilon": 0.05})
+    outs = {}
+    for fmt in (None, "json", "csv"):
+        code, outs[fmt], err = run_cli(capsys, [*argv, given] if fmt is None else ["--format", fmt, *argv, given])
+        assert code == 0 and err == "", fmt
+    # every request but the first read the kept cat minimization
+    assert cli._cat_minimum.cache_info().hits == 3
+    report = json.loads(outs[None])
+    for fmt, out in outs.items():
+        assert out == _full_rendering(report, state, grid, refine, fmt or "json"), fmt
+
+
+def test_min_wcan_warm_report_formats_no_kept_angles(capsys, monkeypatch):
+    import blochframes.cli as cli
+    from blochframes import BlochVector
+
+    cli._cat_minimum.cache_clear()
+    calls = []
+    angles = BlochVector.angles
+    monkeypatch.setattr(BlochVector, "angles", lambda v: calls.append(v) or angles(v))
+    # a cold eps-family key formats the cat's argmin once, N = 3 directions, with
+    # its minimization; a warm request writes it from the kept text in every
+    # format, and a full search formats its own argmin
+    for state, fmt, count in [
+        ({"family": "eps_cat", "n": 3, "epsilon": 0.3}, None, 3),
+        ({"family": "eps_cat", "n": 3, "epsilon": 0.05}, None, 0),
+        ({"family": "cat", "n": 3}, "json", 0),
+        ({"family": "eps_cat", "n": 3, "epsilon": 0.6}, "csv", 0),
+        ({"family": "maximally_mixed", "n": 3}, None, 3),
+        ({"family": "eps_cat", "n": 3, "epsilon": 1e-12}, None, 3),
+        ({"family": "eps_cat", "n": 3, "epsilon": 0.2}, None, 0),
+    ]:
+        calls.clear()
+        argv = ["min-wcan", "--state", json.dumps(state), "--grid", "12", "--threshold-search"]
+        code, out, err = run_cli(capsys, argv if fmt is None else ["--format", fmt, *argv])
+        assert code == 0, state
+        assert len(calls) == count, state
+
+
 def test_min_wcan_threshold_search_seven_qubits(capsys):
     # the scan self-thins to stay within budget; poles and the anti-phased
     # equator configurations survive, so the threshold stays exact
@@ -993,6 +1079,36 @@ def test_json_report_text_is_json_dumps_indent_2(value):
     payload = {"zeros": [0.0, -0.0, -0.0, 0.0], "value": value, "again": [value]}
     assert _json_text(payload) == json.dumps(payload, indent=2)
     assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=_PLAIN_VALUES)
+def test_json_report_writes_a_kept_text_at_a_top_level_key(value):
+    from blochframes.cli import _json_text, _KeptJson
+
+    payload = {"before": [1.5, {"a": None}], "value": value, "after": -0.0}
+    kept = {**payload, "value": _KeptJson.of(value)}
+    assert _json_text(kept) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda kept: {"a": [kept]},
+        lambda kept: {"a": {"b": kept}},
+        lambda kept: [kept],
+        lambda kept: [{"a": kept}],
+        lambda kept: kept,
+    ],
+    ids=["in-a-list", "in-a-nested-dict", "in-a-top-level-list", "in-a-listed-dict", "alone"],
+)
+def test_json_report_refuses_a_kept_text_off_a_top_level_key(place):
+    from blochframes.cli import _json_text, _KeptJson
+
+    # the text was made at a top-level key's indent, so anywhere else it would
+    # be misindented
+    with pytest.raises(TypeError, match="valid only as the value of a top-level key"):
+        _json_text(place(_KeptJson.of([0.25, {"x": [1, 2]}])))
 
 
 @pytest.mark.parametrize("odd", [object(), np.int64(1)], ids=["object", "int64"])

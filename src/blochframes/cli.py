@@ -28,9 +28,9 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import NamedTuple
 
 from .frames import Frame, build_frame, frame_from_json
 from .minimize import _TIE_WIDTH, MinimizeResult, _threshold, minimize_wcan, threshold_search
@@ -116,88 +116,55 @@ def _csv_field(value) -> str:
 
 # float repr -> json's spelling of the values outside JSON's number grammar
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# the line break and indent of a top-level key of an indent=2 report
-_KEY_PAD = "\n  "
 
 
-class _KeptJson(NamedTuple):
-    """A report value kept with its JSON text at the indent of a top-level key,
-    where _json_text writes the text verbatim; the CSV format writes the value."""
+@dataclass(slots=True)
+class _KeptJson:
+    """A report value kept with its JSON text at a top-level key's indent, where
+    _json_text writes the text; json hands one elsewhere to _refuse; CSV writes the value."""
 
     value: object
     text: str
 
     @classmethod
     def of(cls, value) -> _KeptJson:
-        return cls(value, _json_text(value, _KEY_PAD))
+        return cls(value, _nested_json(value))
 
 
-def _json_text(payload, pad: str = "\n") -> str:
-    """The text json.dumps gives payload at indent=2, written in one recursive
-    pass that formats each distinct float once; pad is the line break and indent
-    of the lines that close payload.  Every report is plain: dicts with str
-    keys, lists, tuples, floats, ints, strs, bools and None, and the one kept
-    fragment, a _KeptJson as the value of a top-level key.  Any other key or
-    value (np.float64 too) raises TypeError, a value with json's message, and so
-    does a _KeptJson anywhere else, whose text would be misindented there."""
+def _refuse(value):
+    if type(value) is _KeptJson:
+        raise TypeError("a kept JSON text is valid only as the value of a top-level key")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _nested_json(value) -> str:
+    # at a top-level key's indent; json escapes a newline in a string, so only line breaks move
+    return json.dumps(value, indent=2, default=_refuse).replace("\n", "\n  ")
+
+
+def _json_text(payload) -> str:
+    """The text json.dumps gives payload at indent=2: a dict's top level is
+    written here, its floats, ints, strs and kept texts directly, all else by
+    json.  A non-str top-level key, a misindented _KeptJson and any value json
+    cannot write raise TypeError, the last with json's own message."""
+    if type(payload) is not dict or not payload:
+        return json.dumps(payload, indent=2, default=_refuse)
     parts = []
-    put = parts.append
-    floats = {}
-
-    def walk(value, pad):
+    for key, value in payload.items():
         kind = type(value)
-        if kind is float:
-            text = floats.get(value)
-            if text is None:
-                text = float.__repr__(value)
-                text = _JSON_NONFINITE.get(text, text)
-                if value:  # 0.0 and -0.0 are one key, so neither is kept
-                    floats[value] = text
-            put(text)
-        elif kind is list or kind is tuple:
-            if not value:
-                put("[]")
-                return
-            inner = pad + "  "
-            sep = "[" + inner
-            for item in value:
-                put(sep)
-                walk(item, inner)
-                sep = "," + inner
-            put(pad + "]")
-        elif kind is str:
-            put(_json_str(value))
-        elif kind is dict:
-            if not value:
-                put("{}")
-                return
-            inner = pad + "  "
-            sep = "{" + inner
-            for key, item in value.items():
-                if type(key) is not str:
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                put(sep + _json_str(key) + ": ")
-                if type(item) is _KeptJson and inner == _KEY_PAD:
-                    put(item.text)
-                else:
-                    walk(item, inner)
-                sep = "," + inner
-            put(pad + "}")
+        if kind is _KeptJson:
+            text = value.text
+        elif kind is float:
+            text = float.__repr__(value)
+            text = _JSON_NONFINITE.get(text, text)
         elif kind is int:
-            put(int.__repr__(value))
-        elif value is None:
-            put("null")
-        elif value is True:
-            put("true")
-        elif value is False:
-            put("false")
-        elif kind is _KeptJson:
-            raise TypeError("a kept JSON text is valid only as the value of a top-level key")
+            text = int.__repr__(value)
+        elif kind is str:
+            text = _json_str(value)
         else:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-    walk(payload, pad)
-    return "".join(parts)
+            text = _nested_json(value)
+        parts.append(_json_str(key) + ": " + text)
+    return "{\n  " + ",\n  ".join(parts) + "\n}"
 
 
 def _emit(args, payload: dict | list[dict]) -> None:
@@ -302,11 +269,11 @@ def _argmin_report(argmin) -> list[dict]:
 @functools.lru_cache(maxsize=64)
 def _cat_minimum(n: int, grid: int, refined: bool) -> tuple[float, MinimizeResult, _KeptJson, _KeptJson]:
     """The n-qubit cat state's threshold_search and minimize_wcan, with the
-    report's argmin and grid_ties of that minimization kept with their JSON
-    text (at most 24 ties, about 12 KB at n = 9): the eps = 1 target of every
-    eps-family, kept without its Pauli tensor, which nothing reads again and
-    which takes 2 MB at n = 9.  minimize_wcan refines alike at every positive
-    count, so each key is computed once per process; the module's
+    report's argmin and grid_ties of that minimization kept with the text json
+    writes for them, once per key (at most 24 ties, about 12 KB at n = 9): the
+    eps = 1 target of every eps-family, kept without its Pauli tensor (2 MB at
+    n = 9), which nothing reads again.  minimize_wcan refines alike at every
+    positive count, so each key is computed once per process; the module's
     threshold_search is looked up at call time."""
     pure = pauli_coefficients(build_state(StateSpec("cat", n)))
     refine = int(refined)

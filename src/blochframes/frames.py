@@ -12,8 +12,11 @@ with M = A (A^T A)^{-1}.  The duals satisfy the resolutions of identity
 so any single-qubit operator X expands as X = sum_a P_a tr(Q_a X).
 Vector sets whose centroid vanishes and whose second moments average to
 delta_jk/3 ("balanced" sets below) have duals in the closed form
-Q_a = (1/K)(1 + 3 sigma.n_a).  frame_from_json reads each vector as three JSON numbers;
-the named kinds (cardinal6 and the polyhedra) fix their vectors and take none.
+Q_a = (1/K)(1 + 3 sigma.n_a).  A frame's vertices at equal weights 4pi/K are
+also a quadrature on the sphere: Frame.is_exact_to_degree says up to which
+polynomial degree they integrate exactly (a spherical design of that degree).
+frame_from_json reads each vector as three JSON numbers; the named kinds
+(cardinal6 and the polyhedra) fix their vectors and take none.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from .operators import _json_vector
 
 GRAM_RANK_CUTOFF = 1e-10
 BALANCE_TOL = 1e-10  # centroid and moment residual up to which frame_check passes
+# worst monomial-moment error up to which a frame's vertices count as exact to a degree
+QUADRATURE_TOL = 1e-8
+FOUR_PI = 4.0 * math.pi
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 _POLYHEDRA = ("tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron")
@@ -65,12 +71,22 @@ def frame_check(vectors: Sequence[BlochVector]) -> FrameCheck:
     return FrameCheck(centroid <= BALANCE_TOL and moment <= BALANCE_TOL, centroid, moment)
 
 
+def _sphere_monomial_integral(a: int, b: int, c: int) -> float:
+    """Exact integral of x^a y^b z^c over the unit sphere."""
+    if a % 2 or b % 2 or c % 2:
+        return 0.0
+    # (a-1)!! (b-1)!! (c-1)!! / (a+b+c+1)!!, in exact integers
+    num = math.prod(math.prod(range(k - 1, 1, -2)) for k in (a, b, c))
+    return FOUR_PI * num / math.prod(range(a + b + c + 1, 1, -2))
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """A spanning projector family and its duals, all computed from the vectors.
 
     rows is A (see the module docstring) and is read-only; the projectors and
-    duals are built from rows and M on first access.  For the cardinal6
+    duals are built from rows and M on first access, and each degree's
+    quadrature residual on its first request.  For the cardinal6
     kind index a is 2*(j-1) + mu, i.e. the order +x, -x, +y, -y, +z, -z.
     """
 
@@ -78,6 +94,7 @@ class Frame:
     vectors: tuple[BlochVector, ...]
     rows: np.ndarray = field(init=False, repr=False)
     _dual_pauli: np.ndarray = field(init=False, repr=False)
+    _residuals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         vectors = tuple(self.vectors)
@@ -118,6 +135,22 @@ class Frame:
     def dual_pauli_matrix(self) -> np.ndarray:
         """The read-only (K, 4) matrix M with Q_a = sum_b M[a, b] sigma_b."""
         return self._dual_pauli
+
+    def degree_residual(self, degree: int) -> float:
+        """Worst monomial-moment error over all total degrees <= degree of the
+        vertices as a quadrature at equal weights 4pi/K."""
+        if degree in self._residuals:
+            return self._residuals[degree]
+        exps = [e for e in itertools.product(range(degree + 1), repeat=3) if sum(e) <= degree]
+        exact = [_sphere_monomial_integral(*e) for e in exps]
+        monomials = np.prod(self.rows[:, None, 1:] ** np.reshape(exps, (-1, 3)), axis=2)
+        approx = np.sum(FOUR_PI / self.size * monomials, axis=0)
+        residual = float(np.max(np.abs(approx - exact), initial=0.0))
+        self._residuals[degree] = residual
+        return residual
+
+    def is_exact_to_degree(self, degree: int) -> bool:
+        return self.degree_residual(degree) <= QUADRATURE_TOL
 
 
 def dual_frame(vectors: Sequence[BlochVector], kind: str = "custom") -> Frame:

@@ -8,15 +8,16 @@ evaluated lazily from the Pauli coefficient tensor c, since
 w = (3/4pi)^N sum_c c_{a1..aN} (n_1)_{a1} ... (n_N)_{aN} with the convention
 (n)_0 = 1/3.  Discrete tables over finite frames come from the same
 contraction with the duals' Pauli expansions, and reconstruction contracts
-back to a Pauli tensor with the projectors' Pauli rows.
+back to a Pauli tensor with the projectors' Pauli rows.  The continuous
+reconstruction integrates w over a frame's own vertices at equal weights
+4pi/K, where they form a quadrature exact to the degree w needs.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -32,11 +33,8 @@ from .operators import (
     _require_unit,
     sigma_stack,
 )
-from .frames import Frame, build_frame
+from .frames import FOUR_PI, Frame, build_frame
 
-FOUR_PI = 4.0 * math.pi
-# worst monomial-moment error up to which a quadrature counts as exact to a degree
-QUADRATURE_TOL = 1e-8
 # rows per stream.write in CoefficientTable.write_csv
 _CSV_BLOCK_ROWS = 1 << 13
 
@@ -269,95 +267,33 @@ def reconstruct_discrete(table: CoefficientTable) -> DenseOperator:
 # --- sphere quadrature ------------------------------------------------------
 
 
-def _sphere_monomial_integral(a: int, b: int, c: int) -> float:
-    """Exact integral of x^a y^b z^c over the unit sphere."""
-    if a % 2 or b % 2 or c % 2:
-        return 0.0
-    # (a-1)!! (b-1)!! (c-1)!! / (a+b+c+1)!!, in exact integers
-    num = math.prod(math.prod(range(k - 1, 1, -2)) for k in (a, b, c))
-    return FOUR_PI * num / math.prod(range(a + b + c + 1, 1, -2))
+def sphere_quadrature(kind: str) -> Frame:
+    """build_frame(kind).  A named frame is its own quadrature, at equal weights
+    4pi/K and gated by Frame.is_exact_to_degree; the name is kept because
+    perfbench's HOSH round trip calls it."""
+    return build_frame(kind)
 
 
-@dataclass(frozen=True, eq=False)
-class SphereQuadrature:
-    """Nodes and weights for integrating functions over one Bloch sphere.
-
-    Nodes and weights are read-only, so degree_residual computes each degree's
-    residual once and keeps it.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    _residuals: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
-        if nodes.ndim != 2 or nodes.shape[1] != 3 or weights.shape != (nodes.shape[0],):
-            raise ValueError("quadrature needs (K, 3) nodes and K weights")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def degree_residual(self, degree: int) -> float:
-        """Worst monomial-moment error over all total degrees <= degree."""
-        if degree in self._residuals:
-            return self._residuals[degree]
-        exps = [
-            (a, b, c)
-            for a in range(degree + 1)
-            for b in range(degree + 1 - a)
-            for c in range(degree + 1 - a - b)
-        ]
-        exact = [_sphere_monomial_integral(*e) for e in exps]
-        monomials = np.prod(self.nodes[:, None, :] ** np.reshape(exps, (-1, 3)), axis=2)
-        approx = np.sum(self.weights[:, None] * monomials, axis=0)
-        residual = float(np.max(np.abs(approx - exact), initial=0.0))
-        self._residuals[degree] = residual
-        return residual
-
-    def is_exact_to_degree(self, degree: int) -> bool:
-        return self.degree_residual(degree) <= QUADRATURE_TOL
-
-
-@functools.lru_cache(maxsize=None)
-def sphere_quadrature(kind: str) -> SphereQuadrature:
-    """Equal-weight vertex quadratures: octahedron (degree 3), icosahedron (degree 5).
-
-    Each kind is built once per process and the immutable quadrature is shared.
-    """
-    if kind not in ("octahedron", "icosahedron"):
-        raise ValueError(f"no quadrature registered for {kind!r}")
-    frame = build_frame(kind)
-    return SphereQuadrature(frame.rows[:, 1:], np.full(frame.size, FOUR_PI / frame.size))
-
-
-def reconstruct_continuous(
-    rep: object, quadrature: SphereQuadrature | Sequence[SphereQuadrature]
-) -> DenseOperator:
+def reconstruct_continuous(rep: object, quadrature: Frame | Sequence[Frame]) -> DenseOperator:
     """Integrate rho = sum over product nodes of weight * w(nodes) * P(nodes).
 
     rep is anything exposing qubits, quadrature_degrees and node_values
     (PauliCoefficients, or the spherical-harmonic coefficients from the
-    harmonics module).  Each qubit's quadrature must integrate spherical
-    polynomials exactly up to that qubit's stated degree; a quadrature that
-    cannot is rejected.
+    harmonics module).  Each qubit's quadrature is one frame's vertices at
+    equal weights 4pi/K; it must integrate spherical polynomials exactly up to
+    that qubit's stated degree, and a frame that cannot is rejected.
     """
     n = rep.qubits
-    if isinstance(quadrature, SphereQuadrature):
-        quads: Sequence[SphereQuadrature] = (quadrature,) * n
-    else:
-        quads = tuple(quadrature)
+    quads = (quadrature,) * n if isinstance(quadrature, Frame) else tuple(quadrature)
     if len(quads) != n:
         raise ValueError(f"expected {n} quadratures, got {len(quads)}")
-    _require_table(len(q.weights) for q in quads)
+    _require_table(q.size for q in quads)
     for k, (quad, degree) in enumerate(zip(quads, rep.quadrature_degrees)):
         if not quad.is_exact_to_degree(degree):
             raise ValueError(
                 f"quadrature for qubit {k} must integrate degree <= {degree} spherical "
                 f"polynomials exactly (residual {quad.degree_residual(degree):g})"
             )
-    values = rep.node_values([q.nodes for q in quads])
-    c = _mode_contract(values, [(q.weights[:, None] * _pauli_rows(q.nodes)).T for q in quads])
+    values = rep.node_values([q.rows[:, 1:] for q in quads])
+    c = _mode_contract(values, [(FOUR_PI / q.size * q.rows).T for q in quads])
     return pauli_to_operator(PauliCoefficients(n, c))

@@ -73,11 +73,16 @@ class StateSpec:
     def from_json(cls, data: dict) -> "StateSpec":
         if not isinstance(data, dict) or "family" not in data:
             raise ValueError('state JSON needs a "family" key')
-        qubits, epsilon = data.get("n", data.get("qubits")), data.get("epsilon")
-        matrix = data.get("matrix")
+        # "qubits" is another name for "n"; a spec that gives both must give one count
+        counts = {_json_number("qubit count", data[k], int)
+                  for k in ("n", "qubits") if data.get(k) is not None}
+        if len(counts) > 1:
+            raise ValueError(f'state JSON gives "n": {data["n"]} and "qubits": {data["qubits"]}; '
+                             "they must agree")
+        epsilon, matrix = data.get("epsilon"), data.get("matrix")
         return cls(
             family=data["family"],
-            qubits=None if qubits is None else _json_number("qubit count", qubits, int),
+            qubits=next(iter(counts), None),
             epsilon=None if epsilon is None else _json_number("epsilon", epsilon),
             matrix=None if matrix is None else np.array([[_matrix_entry(e) for e in r] for r in matrix]),
         )

@@ -651,6 +651,25 @@ def test_refusals_of_mismatched_or_missing_arguments(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["witness", "--name", "werner"])
     assert (code, out, err) == (2, "", "error: witness needs --state or --coeffs\n")
 
+    # one source only: a state and a coefficient table are refused together
+    code, out, err = run_cli(
+        capsys,
+        ["witness", "--name", "werner", "--state", '{"family": "werner", "epsilon": 0.4}',
+         "--coeffs", '{"n": 2, "coeffs": {"00": 1.0}}'],
+    )
+    assert (code, out) == (2, "")
+    assert "argument --coeffs: not allowed with argument --state" in err
+
+    # "n" and "qubits" that disagree are refused, not read as the first
+    code, out, err = run_cli(
+        capsys,
+        ["witness", "--name", "werner",
+         "--state", '{"family": "eps_cat", "n": 2, "qubits": 3, "epsilon": 0.4}'],
+    )
+    assert (code, out, err) == (
+        2, "", 'error: --state: state JSON gives "n": 2 and "qubits": 3; they must agree\n'
+    )
+
 
 def test_witness_subcommand(capsys):
     code, out, err = run_cli(

@@ -242,9 +242,10 @@ def test_point_mass_table_has_canonical_low_order_content():
     frame = build_frame("cardinal6")
     table = wcan_discrete(rho, [frame] * 2)
     quad = sphere_quadrature("icosahedron")
+    nodes, weights = quad.rows[:, 1:], np.full(quad.size, 4 * math.pi / quad.size)
 
     # canonical moments: integrate w(n1, n2) Ybar_lm(n1) Ybar_l'm'(n2)
-    vals = c.node_values([quad.nodes, quad.nodes])
+    vals = c.node_values([nodes, nodes])
 
     def y_matrix(nodes):
         out = np.empty((len(nodes), 4), dtype=complex)
@@ -254,8 +255,8 @@ def test_point_mass_table_has_canonical_low_order_content():
             out[:, col] = np.conj([sph_y(l, m, t, p) for t, p in zip(thetas, phis)])
         return out
 
-    yq = y_matrix(quad.nodes)
-    canon = np.einsum("ab,a,b,ai,bj->ij", vals, quad.weights, quad.weights, yq, yq)
+    yq = y_matrix(nodes)
+    canon = np.einsum("ab,a,b,ai,bj->ij", vals, weights, weights, yq, yq)
 
     vertices = np.array([list(v) for v in frame.vectors])
     yv = y_matrix(vertices)
@@ -403,11 +404,11 @@ def test_sph_y_broadcasts_and_checks_every_m():
 
 
 def test_quadrature_residual_kept_per_degree():
-    from blochframes import SphereQuadrature
-    from blochframes.representations import QUADRATURE_TOL
+    from blochframes import Frame
+    from blochframes.frames import QUADRATURE_TOL
 
     shared = sphere_quadrature("octahedron")
-    fresh = SphereQuadrature(shared.nodes, shared.weights)
+    fresh = Frame("custom", shared.vectors)
     for degree in range(6):
         first = fresh.degree_residual(degree)
         assert fresh.degree_residual(degree) == first == shared.degree_residual(degree)

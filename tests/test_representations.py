@@ -13,7 +13,6 @@ from blochframes import (
     CoefficientTable,
     DenseOperator,
     PauliCoefficients,
-    SphereQuadrature,
     StateSpec,
     bloch_projector,
     build_frame,
@@ -310,6 +309,14 @@ def test_continuous_reconstruction_quadratures(rng):
             assert np.abs(back.matrix - rho.matrix).max() < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["tetrahedron", "cube", "cardinal6", "dodecahedron"])
+def test_continuous_reconstruction_over_any_degree_2_frame(rng, kind):
+    # a Pauli tensor needs degree 2, which every named frame integrates
+    rho = random_density(rng, 2)
+    back = reconstruct_continuous(pauli_coefficients(rho), build_frame(kind))
+    assert np.abs(back.matrix - rho.matrix).max() < 1e-12
+
+
 def projector_stack_sum(values, stacks):
     """sum over product indices of values * stack_1[i_1] x ... x stack_N[i_N], term by term."""
     out = 0.0
@@ -336,11 +343,11 @@ def test_reconstructions_match_projector_stack_assembly(rng):
         c = pauli_coefficients(rho)
         quads = [sphere_quadrature(k) for k in ("icosahedron", "octahedron", "icosahedron")[:n]]
         stacks = [
-            np.array([bloch_projector(BlochVector.from_array(v)).matrix for v in q.nodes])
-            * q.weights[:, None, None]
+            np.array([bloch_projector(BlochVector.from_array(v)).matrix for v in q.rows[:, 1:]])
+            * (FOUR_PI / q.size)
             for q in quads
         ]
-        expected = projector_stack_sum(c.node_values([q.nodes for q in quads]), stacks)
+        expected = projector_stack_sum(c.node_values([q.rows[:, 1:] for q in quads]), stacks)
         assert np.abs(reconstruct_continuous(c, quads).matrix - expected).max() <= 1e-14
 
 
@@ -349,20 +356,25 @@ def test_quadrature_normalization(rng):
     rho = random_density(rng, 2)
     c = pauli_coefficients(rho)
     quad = sphere_quadrature("octahedron")
-    vals = c.node_values([quad.nodes, quad.nodes])
-    total = float(np.einsum("ij,i,j->", vals, quad.weights, quad.weights))
+    weights = np.full(quad.size, FOUR_PI / quad.size)
+    vals = c.node_values([quad.rows[:, 1:]] * 2)
+    total = float(np.einsum("ij,i,j->", vals, weights, weights))
     assert abs(total - 1.0) < 1e-12
 
 
+# the degree up to which each named frame integrates exactly at weights 4pi/K
+_EXACT_DEGREE = {"tetrahedron": 2, "octahedron": 3, "cardinal6": 3, "cube": 3,
+                 "icosahedron": 5, "dodecahedron": 5}
+
+
 def test_quadrature_degrees():
-    oct_q = sphere_quadrature("octahedron")
-    ico_q = sphere_quadrature("icosahedron")
-    assert oct_q.is_exact_to_degree(3)
-    assert not oct_q.is_exact_to_degree(4)
-    assert ico_q.is_exact_to_degree(5)
-    assert not ico_q.is_exact_to_degree(6)
+    for kind, degree in _EXACT_DEGREE.items():
+        quad = sphere_quadrature(kind)
+        assert quad is build_frame(kind)
+        assert quad.is_exact_to_degree(degree)
+        assert not quad.is_exact_to_degree(degree + 1)
     # the failing monomial for the octahedron is x^4: 4pi/3 vs 4pi/5
-    assert oct_q.degree_residual(4) > 1.0
+    assert sphere_quadrature("octahedron").degree_residual(4) > 1.0
 
 
 def test_reconstruct_continuous_rejects_weak_quadrature(rng):
@@ -370,10 +382,21 @@ def test_reconstruct_continuous_rejects_weak_quadrature(rng):
 
     rho = random_density(rng, 1)
     s = sph_coefficients(pauli_coefficients(rho))
-    # an l = 5 term needs quadrature degree 6, beyond both shipped node sets
+    # an l = 5 term needs quadrature degree 6, beyond every named frame
     aug = add_hosh(s, {((5, 0),): 0.05})
     with pytest.raises(ValueError):
         reconstruct_continuous(aug, sphere_quadrature("icosahedron"))
+    # sign closure zeroes every odd moment, but these second moments are not I/3
+    seed = np.array([0.2, 0.3, 0.9])
+    frame = build_frame("reflected", [BlochVector.from_array(seed / np.linalg.norm(seed))])
+    assert frame.is_exact_to_degree(1)
+    assert not frame.is_exact_to_degree(2)
+    with pytest.raises(ValueError) as err:
+        reconstruct_continuous(_WERNER, [build_frame("octahedron"), frame])
+    assert str(err.value) == (
+        "quadrature for qubit 1 must integrate degree <= 2 spherical polynomials exactly "
+        f"(residual {frame.degree_residual(2):g})"
+    )
 
 
 def test_reconstruct_continuous_refuses_a_node_table_above_the_limit():
@@ -403,10 +426,11 @@ def test_degree_residual_matches_monomial_loop():
 
     for kind in ("octahedron", "icosahedron"):
         q = sphere_quadrature(kind)
-        x, y, z = q.nodes.T
+        x, y, z = q.rows[:, 1:].T
+        weights = np.full(q.size, FOUR_PI / q.size)
         for degree in range(8):
             worst = max(
-                abs(float(np.sum(q.weights * x**a * y**b * z**c)) - integral(a, b, c))
+                abs(float(np.sum(weights * x**a * y**b * z**c)) - integral(a, b, c))
                 for a in range(degree + 1)
                 for b in range(degree + 1 - a)
                 for c in range(degree + 1 - a - b)
@@ -568,16 +592,13 @@ _WERNER = pauli_coefficients(build_state(StateSpec("werner", epsilon=0.2)))
          "bad coefficient index '04' for 2 qubits"),
         (lambda: PauliCoefficients.from_dict({"n": 2, "coeffs": {"000": 1.0}}),
          "bad coefficient index '000' for 2 qubits"),
-        (lambda: SphereQuadrature(np.zeros((4, 2)), np.ones(4)), r"needs \(K, 3\) nodes and K weights"),
-        (lambda: SphereQuadrature(np.zeros((4, 3)), np.ones(3)), r"needs \(K, 3\) nodes and K weights"),
-        (lambda: sphere_quadrature("cube"), "no quadrature registered for 'cube'"),
         (lambda: reconstruct_continuous(_WERNER, [sphere_quadrature("icosahedron")] * 3),
          "expected 2 quadratures, got 3"),
         (lambda: wcan_discrete(build_state(StateSpec("werner", epsilon=0.2)), [build_frame("cardinal6")]),
          "^expected 2 frames, got 1$"),
     ],
-    ids=["tensor-shape", "node-arrays", "index-digit", "index-length", "quadrature-nodes",
-         "quadrature-weights", "quadrature-kind", "quadrature-count", "frame-count"],
+    ids=["tensor-shape", "node-arrays", "index-digit", "index-length", "quadrature-count",
+         "frame-count"],
 )
 def test_representations_refusals(call, message):
     with pytest.raises(ValueError, match=message):

@@ -134,6 +134,17 @@ def test_custom_matrix_roundtrip():
     assert np.allclose(spec2.matrix, spec.matrix)
 
 
+def test_state_json_refuses_disagreeing_qubit_counts():
+    # "qubits" is an alias of "n": either alone, or both equal, give the count
+    for data in ({"n": 3}, {"qubits": 3}, {"n": 3, "qubits": 3}):
+        assert StateSpec.from_json({"family": "eps_cat", "epsilon": 0.4, **data}).qubits == 3
+    with pytest.raises(ValueError) as err:
+        StateSpec.from_json({"family": "eps_cat", "n": 2, "qubits": 3, "epsilon": 0.4})
+    assert str(err.value) == 'state JSON gives "n": 2 and "qubits": 3; they must agree'
+    with pytest.raises(ValueError, match="qubit count must be an integer, got '3'"):
+        StateSpec.from_json({"family": "eps_cat", "n": 3, "qubits": "3", "epsilon": 0.4})
+
+
 def test_custom_matrix_rejects_invalid():
     with pytest.raises(ValueError) as err:
         build_state(StateSpec("custom_matrix", matrix=np.diag([1.5, -0.5])))

@@ -15,8 +15,9 @@ delta_jk/3 ("balanced" sets below) have duals in the closed form
 Q_a = (1/K)(1 + 3 sigma.n_a).  A frame's vertices at equal weights 4pi/K are
 also a quadrature on the sphere: Frame.is_exact_to_degree says up to which
 polynomial degree they integrate exactly (a spherical design of that degree).
-frame_from_json reads each vector as three JSON numbers; the named kinds
-(cardinal6 and the polyhedra) fix their vectors and take none.
+The named kinds fix their vectors, one _VERTICES entry each (cardinal6 is the
+octahedron's), and take none; frame_from_json reads each vector as three JSON
+numbers and refuses any key but kind and vectors.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .operators import BlochVector, DenseOperator, _pauli_matrices, _pauli_rows, _require_unit
-from .operators import _json_vector
+from .operators import _json_keys, _json_vector
 
 GRAM_RANK_CUTOFF = 1e-10
 BALANCE_TOL = 1e-10  # centroid and moment residual up to which frame_check passes
@@ -39,9 +40,26 @@ QUADRATURE_TOL = 1e-8
 FOUR_PI = 4.0 * math.pi
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
-_POLYHEDRA = ("tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron")
+
+def _cyclic_shifts(a: float, b: float) -> list[tuple[float, float, float]]:
+    """(0, +-a, +-b) in itertools.product sign order, then shifted right by one and by two."""
+    base = [(0.0, s * a, t * b) for s, t in itertools.product((1, -1), repeat=2)]
+    return [v[-k:] + v[:-k] for k in range(3) for v in base]
+
+
+_SIGNED_ONES = list(itertools.product((1, -1), repeat=3))
+# each regular polyhedron's unnormalised vertices, in index order; its keys are the
+# polyhedra.  The octahedron sits on the coordinate axes, tetrahedron and cube on
+# signed-ones vertices, icosahedron and dodecahedron on golden-ratio coordinates.
+_VERTICES = {
+    "tetrahedron": [v for v in _SIGNED_ONES if math.prod(v) > 0],
+    "octahedron": [tuple(s * (j == i) for j in range(3)) for i in range(3) for s in (1, -1)],
+    "cube": _SIGNED_ONES,
+    "icosahedron": _cyclic_shifts(1.0, GOLDEN),
+    "dodecahedron": _SIGNED_ONES + _cyclic_shifts(1.0 / GOLDEN, GOLDEN),
+}
 # the kinds whose vectors are fixed, so that they take none
-_NAMED_KINDS = ("cardinal6", *_POLYHEDRA)
+_NAMED_KINDS = ("cardinal6", *_VERTICES)
 FRAME_KINDS = (*_NAMED_KINDS, "reflected", "custom")
 
 
@@ -173,48 +191,12 @@ def _unit(x: float, y: float, z: float) -> BlochVector:
     return BlochVector(float(x / r), float(y / r), float(z / r))
 
 
-@functools.lru_cache(maxsize=None)
 def polyhedron_vectors(kind: str) -> tuple[BlochVector, ...]:
-    """Vertices of a regular polyhedron inscribed in the unit sphere.
-
-    Orientations are fixed once and for all: the octahedron sits on the
-    coordinate axes, tetrahedron and cube use signed-ones vertices, and the
-    icosahedron/dodecahedron come from the usual golden-ratio coordinates.
-    Each kind is built once per process and the tuple is shared.
-    """
-    if kind == "octahedron":
-        return (
-            BlochVector(1, 0, 0),
-            BlochVector(-1, 0, 0),
-            BlochVector(0, 1, 0),
-            BlochVector(0, -1, 0),
-            BlochVector(0, 0, 1),
-            BlochVector(0, 0, -1),
-        )
-    if kind == "tetrahedron":
-        return (
-            _unit(1, 1, 1),
-            _unit(1, -1, -1),
-            _unit(-1, 1, -1),
-            _unit(-1, -1, 1),
-        )
-    if kind == "cube":
-        return tuple(_unit(sx, sy, sz) for sx, sy, sz in itertools.product((1, -1), repeat=3))
-    if kind == "icosahedron":
-        out = []
-        for shift in range(3):
-            for s1, s2 in itertools.product((1, -1), repeat=2):
-                base = [0.0, float(s1), s2 * GOLDEN]
-                out.append(_unit(*np.roll(base, shift)))
-        return tuple(out)
-    if kind == "dodecahedron":
-        out = [j for j in polyhedron_vectors("cube")]
-        for shift in range(3):
-            for s1, s2 in itertools.product((1, -1), repeat=2):
-                base = [0.0, s1 / GOLDEN, s2 * GOLDEN]
-                out.append(_unit(*np.roll(base, shift)))
-        return tuple(out)
-    raise ValueError(f"unknown polyhedron kind {kind!r}; options: {sorted(_POLYHEDRA)}")
+    """Vertices of a regular polyhedron inscribed in the unit sphere: the shared
+    vectors of its named frame, built from _VERTICES once per process."""
+    if kind not in _VERTICES:
+        raise ValueError(f"unknown polyhedron kind {kind!r}; options: {sorted(_VERTICES)}")
+    return _named_frame(kind).vectors
 
 
 def reflect_octant(seed: BlochVector | Sequence[BlochVector]) -> tuple[BlochVector, ...]:
@@ -271,9 +253,9 @@ def build_frame(kind: str, vectors: Sequence[BlochVector] | None = None) -> Fram
 
 @functools.lru_cache(maxsize=None)
 def _named_frame(kind: str) -> Frame:
-    """The named frames are immutable, so each is inverted once and shared."""
-    vectors = polyhedron_vectors("octahedron" if kind == "cardinal6" else kind)
-    return dual_frame(vectors, kind=kind)
+    """The named frames are immutable, so each is built from _VERTICES, inverted once and shared."""
+    vertices = _VERTICES["octahedron" if kind == "cardinal6" else kind]
+    return dual_frame([_unit(*v) for v in vertices], kind=kind)
 
 
 def frame_from_json(obj: object) -> Frame:
@@ -283,6 +265,7 @@ def frame_from_json(obj: object) -> Frame:
         return build_frame(obj)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError('frame JSON must be {"kind": ..., "vectors": [...]} or a kind string')
+    _json_keys("frame JSON", obj, ("kind", "vectors"))
     vectors = obj.get("vectors")
     if vectors is not None:
         vectors = [_json_vector("frame vector", v) for v in vectors]

@@ -79,6 +79,16 @@ def _json_vector(name: str, value) -> BlochVector:
     return BlochVector(*(_json_number(f"{name} component", c) for c in (x, y, z)))
 
 
+def _json_keys(name: str, data, keys: tuple[str, ...]) -> None:
+    """Refuse data unless it is a JSON object whose keys are all among keys; the
+    message names the first stray key and the keys name takes."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object, got {data!r}")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{name} has unknown key {key!r}; it takes {', '.join(keys)}")
+
+
 def _require_entries(entries: int, what: str, *args) -> None:
     """Refuse a float array of that many entries before it is allocated: it may take
     the bytes of MAX_ENTRIES complex entries, so 2 MAX_ENTRIES floats.  The refusal

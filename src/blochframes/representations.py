@@ -10,7 +10,8 @@ w = (3/4pi)^N sum_c c_{a1..aN} (n_1)_{a1} ... (n_N)_{aN} with the convention
 contraction with the duals' Pauli expansions, and reconstruction contracts
 back to a Pauli tensor with the projectors' Pauli rows.  The continuous
 reconstruction integrates w over a frame's own vertices at equal weights
-4pi/K, where they form a quadrature exact to the degree w needs.
+4pi/K, where they form a quadrature exact to the degree w needs.  A table and a
+reconstruction check their per-qubit frames by one rule, _table_frames.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .operators import (
     BlochVector,
     DenseOperator,
     _hermitian,
+    _json_keys,
     _json_number,
     _pauli_rows,
     _require_entries,
@@ -100,6 +102,7 @@ class PauliCoefficients:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PauliCoefficients":
+        _json_keys("coefficient JSON", data, ("n", "coeffs"))
         n = _json_number("qubit count", data["n"], int)
         _require_qubits(n, "Pauli coefficients")
         c = np.zeros((4,) * n)
@@ -230,18 +233,13 @@ class CoefficientTable:
             stream.write(f"# min={self.min_entry()!r} sum={self.total()!r}\n")
 
 
-def _require_table(sizes) -> None:
-    """Refuse a table with one axis of each size before it is allocated."""
-    rows = math.prod(sizes)
-    _require_entries(rows, "a table of %s entries", rows)
-
-
 def _table_frames(frames: Sequence[Frame], qubits: int) -> tuple[Frame, ...]:
     """One frame per qubit as a tuple, refused before a table over them passes the limit."""
     frames = tuple(frames)
     if len(frames) != qubits:
         raise ValueError(f"expected {qubits} frames, got {len(frames)}")
-    _require_table(f.size for f in frames)
+    rows = math.prod(f.size for f in frames)
+    _require_entries(rows, "a table of %s entries", rows)
     return frames
 
 
@@ -279,15 +277,13 @@ def reconstruct_continuous(rep: object, quadrature: Frame | Sequence[Frame]) -> 
 
     rep is anything exposing qubits, quadrature_degrees and node_values
     (PauliCoefficients, or the spherical-harmonic coefficients from the
-    harmonics module).  Each qubit's quadrature is one frame's vertices at
-    equal weights 4pi/K; it must integrate spherical polynomials exactly up to
-    that qubit's stated degree, and a frame that cannot is rejected.
+    harmonics module).  quadrature is one frame, or one per qubit as for a table.
+    Each qubit's quadrature is one frame's vertices at equal weights 4pi/K; it
+    must integrate spherical polynomials exactly up to that qubit's stated
+    degree, and a frame that cannot is rejected.
     """
     n = rep.qubits
-    quads = (quadrature,) * n if isinstance(quadrature, Frame) else tuple(quadrature)
-    if len(quads) != n:
-        raise ValueError(f"expected {n} quadratures, got {len(quads)}")
-    _require_table(q.size for q in quads)
+    quads = _table_frames((quadrature,) * n if isinstance(quadrature, Frame) else quadrature, n)
     for k, (quad, degree) in enumerate(zip(quads, rep.quadrature_degrees)):
         if not quad.is_exact_to_degree(degree):
             raise ValueError(

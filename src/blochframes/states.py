@@ -7,7 +7,8 @@ state (|0...0> + |1...1>)/sqrt(2).  A family may fix N (werner: 2, eps_ghz: 3)
 or eps (maximally_mixed: 0, cat: 1); the spec supplies the rest, and a supplied
 eps must lie in [0, 1] even where the family fixes it.  It is separable exactly up
 to eps_N = bound_duer(N), where cat_ensemble(N) proves it.  Numbers in state and
-ensemble JSON are JSON ints or floats, read by operators._json_number.
+ensemble JSON are JSON ints or floats, read by operators._json_number, and a
+key that their objects do not take is refused by operators._json_keys.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .operators import BlochVector, DenseOperator, _pauli_rows, _require_unit, validate_density
-from .operators import MAX_ENTRIES, _json_number, _json_vector, _require_entries, _require_qubits
+from .operators import MAX_ENTRIES, _json_keys, _json_number, _json_vector, _require_entries, _require_qubits
 from .frames import Frame
 from .representations import CoefficientTable, PauliCoefficients, _table_frames, pauli_to_operator
 
@@ -73,6 +74,7 @@ class StateSpec:
     def from_json(cls, data: dict) -> "StateSpec":
         if not isinstance(data, dict) or "family" not in data:
             raise ValueError('state JSON needs a "family" key')
+        _json_keys("state JSON", data, ("family", "n", "qubits", "epsilon", "matrix"))
         # "qubits" is another name for "n"; a spec that gives both must give one count
         counts = {_json_number("qubit count", data[k], int)
                   for k in ("n", "qubits") if data.get(k) is not None}
@@ -275,13 +277,15 @@ class ProductEnsemble:
 
     @classmethod
     def from_json(cls, data: dict) -> "ProductEnsemble":
+        _json_keys("ensemble JSON", data, ("qubits", "terms"))
         try:
             qubits = _json_number("qubit count", data["qubits"], int)
-            terms = tuple(
-                (_json_number("probability", t["probability"]),
-                 [_json_vector("vector", v) for v in t["vectors"]], t.get("label", ""))
-                for t in data["terms"]
-            )
+            terms = []
+            for t in data["terms"]:
+                _json_keys("ensemble term", t, ("probability", "vectors", "label"))
+                terms.append((_json_number("probability", t["probability"]),
+                              [_json_vector("vector", v) for v in t["vectors"]],
+                              t.get("label", "")))
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed ensemble JSON: {exc}") from exc
         return cls(qubits, terms)

@@ -914,6 +914,18 @@ def _matrix_state(first) -> str:
         # an ensemble acts on at least one qubit, refused before its terms are read
         (["verify-ensemble", "--state", _WERNER, "--file",
           '{"qubits": 0, "terms": [{"probability": 1, "vectors": []}]}'], "--file"),
+        # a JSON object takes only its own keys; each of these read past the typo
+        (["ppt", "--state", '{"family": "werner", "epsilon": 0.2, "qubit": 3}'], "--state"),
+        (["coeffs", "--state", _WERNER, "--frames", '{"kind": "cube", "vector": [[0, 0, 1]]}'],
+         "--frames"),
+        (["witness", "--name", "werner", "--coeffs",
+          '{"n": 2, "coeffs": {"00": 1.0}, "coefs": {"11": 0.5, "22": -0.5, "33": 0.5}}'], "--coeffs"),
+        (["verify-ensemble", "--state", _WERNER, "--file",
+          '{"qubits": 2, "qbits": 2, "terms": [{"probability": 1, "vectors": [[0, 0, 1], [0, 0, 1]]}]}'],
+         "--file"),
+        (["verify-ensemble", "--state", _WERNER, "--file",
+          '{"qubits": 2, "terms": [{"probability": 1, "weight": 1, "vectors": [[0, 0, 1], [0, 0, 1]]}]}'],
+         "--file"),
     ],
 )
 def test_unreadable_argument_is_input_error(capsys, argv, flag):

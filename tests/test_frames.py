@@ -274,6 +274,27 @@ def test_named_frames_are_shared_and_read_only():
     assert build_frame("custom", vs) is not build_frame("custom", vs)
 
 
+@pytest.mark.parametrize("kind", ["tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron"])
+def test_polyhedron_vectors_are_the_named_frames_vectors(kind):
+    assert polyhedron_vectors(kind) is build_frame(kind).vectors
+
+
+def test_cardinal6_is_the_octahedron_in_axis_order():
+    axes = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    assert build_frame("cardinal6").vectors == polyhedron_vectors("octahedron")
+    assert build_frame("cardinal6").vectors == tuple(BlochVector(*a) for a in axes)
+
+
+def test_polyhedron_vertices_keep_their_index_order():
+    r3, phi = math.sqrt(3.0), (1.0 + math.sqrt(5.0)) / 2.0
+    even = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+    assert polyhedron_vectors("tetrahedron") == tuple(BlochVector(*(s / r3 for s in v)) for v in even)
+    assert polyhedron_vectors("dodecahedron")[:8] == polyhedron_vectors("cube")
+    ico = np.array(polyhedron_vectors("icosahedron")) * math.hypot(1.0, phi)
+    # (0, 1, phi), then its first cyclic shift to the right
+    assert np.allclose(ico[[0, 4, 8]], [[0, 1, phi], [phi, 0, 1], [1, phi, 0]], atol=1e-15)
+
+
 _direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
 
 
@@ -407,11 +428,16 @@ def test_dual_frame_rejects_nan_vector():
         (lambda: polyhedron_vectors("pentagon"),
          r"unknown polyhedron kind 'pentagon'; options: \['cube', 'dodecahedron', "
          r"'icosahedron', 'octahedron', 'tetrahedron'\]"),
+        # cardinal6 is a named frame but not a polyhedron
+        (lambda: polyhedron_vectors("cardinal6"),
+         r"unknown polyhedron kind 'cardinal6'; options: \['cube', 'dodecahedron', "
+         r"'icosahedron', 'octahedron', 'tetrahedron'\]"),
         (lambda: reflect_octant(()), "reflect_octant requires at least one seed vector"),
         (lambda: build_frame("reflected"), "reflected frames need seed vectors"),
         (lambda: build_frame("reflected", []), "reflected frames need seed vectors"),
     ],
-    ids=["frame-check-empty", "unknown-polyhedron", "no-octant-seeds", "reflected-none",
+    ids=["frame-check-empty", "unknown-polyhedron", "cardinal6-polyhedron", "no-octant-seeds",
+         "reflected-none",
          "reflected-empty"],
 )
 def test_frames_refusals(call, message):

@@ -593,7 +593,7 @@ _WERNER = pauli_coefficients(build_state(StateSpec("werner", epsilon=0.2)))
         (lambda: PauliCoefficients.from_dict({"n": 2, "coeffs": {"000": 1.0}}),
          "bad coefficient index '000' for 2 qubits"),
         (lambda: reconstruct_continuous(_WERNER, [sphere_quadrature("icosahedron")] * 3),
-         "expected 2 quadratures, got 3"),
+         "^expected 2 frames, got 3$"),
         (lambda: wcan_discrete(build_state(StateSpec("werner", epsilon=0.2)), [build_frame("cardinal6")]),
          "^expected 2 frames, got 1$"),
     ],

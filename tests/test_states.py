@@ -522,6 +522,32 @@ def test_json_readers_read_their_writers_back_bit_identically(rng):
     assert back.to_dict() == c.to_dict()
 
 
+_TERM = {"probability": 1.0, "vectors": [[0.0, 0.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "read, data, message",
+    [
+        (StateSpec.from_json, {"family": "werner", "epsilon": 0.2, "qubit": 3},
+         "state JSON has unknown key 'qubit'; it takes family, n, qubits, epsilon, matrix"),
+        (ProductEnsemble.from_json, {"qubits": 1, "qbits": 1, "terms": [_TERM]},
+         "ensemble JSON has unknown key 'qbits'; it takes qubits, terms"),
+        (ProductEnsemble.from_json, {"qubits": 1, "terms": [{**_TERM, "weight": 1.0}]},
+         "ensemble term has unknown key 'weight'; it takes probability, vectors, label"),
+        (ProductEnsemble.from_json, {"qubits": 1, "terms": [[1.0, [[0.0, 0.0, 1.0]]]]},
+         r"ensemble term must be a JSON object, got \[1.0, \[\[0.0, 0.0, 1.0\]\]\]"),
+        (frame_from_json, {"kind": "cube", "vector": [[0, 0, 1]]},
+         "frame JSON has unknown key 'vector'; it takes kind, vectors"),
+        (PauliCoefficients.from_dict, {"n": 1, "coeffs": {"0": 1.0}, "coefs": {"3": 0.5}},
+         "coefficient JSON has unknown key 'coefs'; it takes n, coeffs"),
+    ],
+    ids=["state", "ensemble", "ensemble-term", "ensemble-term-list", "frame", "coefficients"],
+)
+def test_json_readers_refuse_unknown_keys(read, data, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read(data)
+
+
 def test_ensemble_to_table_refuses_an_oversized_table():
     def north_table(n):
         e = ProductEnsemble(n, (EnsembleTerm(1.0, (BlochVector(0.0, 0.0, 1.0),) * n),))

@@ -39,6 +39,7 @@ from .representations import PauliCoefficients, pauli_coefficients, wcan_continu
 from .separability import ppt_min_eigenvalue, witness_ghz, witness_werner
 from .states import (
     _MIXTURES,
+    _cat_coefficients,
     ProductEnsemble,
     StateSpec,
     bound_cat,
@@ -271,11 +272,11 @@ def _cat_minimum(n: int, grid: int, refined: bool) -> tuple[float, MinimizeResul
     """The n-qubit cat state's threshold_search and minimize_wcan, with the
     report's argmin and grid_ties of that minimization kept with the text json
     writes for them, once per key (at most 24 ties, about 12 KB at n = 9): the
-    eps = 1 target of every eps-family, kept without its Pauli tensor (2 MB at
-    n = 9), which nothing reads again.  minimize_wcan refines alike at every
-    positive count, so each key is computed once per process; the module's
-    threshold_search is looked up at call time."""
-    pure = pauli_coefficients(build_state(StateSpec("cat", n)))
+    eps = 1 target of every eps-family, minimized on its closed-form Pauli
+    tensor and kept without it (2 MB at n = 9).  minimize_wcan refines alike
+    at every positive count, so each key is computed once per process; the
+    module's threshold_search is looked up at call time."""
+    pure = _cat_coefficients(n)
     refine = int(refined)
     threshold = threshold_search(pure, grid_per_sphere=grid, refine_iters=refine)
     cat = minimize_wcan(pure, grid_per_sphere=grid, refine_iters=refine)
@@ -326,8 +327,7 @@ def _coeffs_for_witness(args) -> PauliCoefficients:
         return _read("--coeffs", args.coeffs, PauliCoefficients.from_dict)
     if not args.state:
         raise _InputError("witness needs --state or --coeffs")
-    rho = build_state(_read("--state", args.state, StateSpec.from_json))
-    return pauli_coefficients(rho)
+    return pauli_coefficients(build_state(_read("--state", args.state, StateSpec.from_json)))
 
 
 def cmd_witness(args) -> int:

@@ -239,15 +239,6 @@ def minimize_wcan(
     return MinimizeResult(value, argmin, ties, len(angles), tie_gap)
 
 
-def mix_with_identity(pure: PauliCoefficients, epsilon: float) -> PauliCoefficients:
-    """Pauli tensor of (1 - eps)/2^N identity + eps * (state behind `pure`)."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
-    c = epsilon * np.array(pure.coeffs)
-    c[(0,) * pure.qubits] = 1.0
-    return PauliCoefficients(pure.qubits, c)
-
-
 def threshold_search(
     pure: PauliCoefficients,
     grid_per_sphere: int = 24,

@@ -12,7 +12,7 @@ exactly Hermitian matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -150,6 +150,8 @@ class DenseOperator:
     matrix: np.ndarray
     qubits: int
     hermitian: bool = False
+    # the Pauli tensor that pauli_to_operator built this operator from, else None
+    _pauli: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)

@@ -116,9 +116,12 @@ class PauliCoefficients:
 def pauli_coefficients(rho: DenseOperator) -> PauliCoefficients:
     """Pauli coefficient tensor of an operator Hermitian within DEFAULT_VALIDATION_TOL.
 
-    Contracts each qubit of rho with the sigma stack, so the cost is
-    O(N 4^N) rather than one trace per Pauli string.
+    An operator that pauli_to_operator built gives back the tensor it was built
+    from, as it is.  Any other is contracted: each qubit of rho with the sigma
+    stack, so the cost is O(N 4^N) rather than one trace per Pauli string.
     """
+    if rho._pauli is not None:
+        return rho._pauli
     n = rho.qubits
     t = _hermitian(rho.matrix, "pauli_coefficients input").reshape((2,) * (2 * n))
     # bring axes to (i_1, j_1, i_2, j_2, ...) and merge each pair into one
@@ -132,14 +135,17 @@ def pauli_coefficients(rho: DenseOperator) -> PauliCoefficients:
 
 def pauli_to_operator(c: PauliCoefficients) -> DenseOperator:
     """Inverse of pauli_coefficients: rho = 2^-N sum c sigma x ... x sigma, stored
-    exactly Hermitian.  The one route from a Pauli tensor to a matrix."""
+    exactly Hermitian and carrying c, which pauli_coefficients then reads back
+    exactly.  The one route from a Pauli tensor to a matrix."""
     n, d = c.qubits, 2**c.qubits
     # sigma_b as column b of a (4, 4) matrix of its flattened (i, j) entries
     t = _mode_contract(c.coeffs, [sigma_stack().reshape(4, 4).T] * n)
     # axes are now (i_1, j_1, ..., i_N, j_N); interleave into row/column blocks
     perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     m = t.reshape((2,) * (2 * n)).transpose(perm).reshape(d, d) / d
-    return DenseOperator(m, n, hermitian=True)
+    rho = DenseOperator(m, n, hermitian=True)
+    object.__setattr__(rho, "_pauli", c)
+    return rho
 
 
 def wcan_continuous(rep: object, n_tuple: Sequence[BlochVector]) -> float:

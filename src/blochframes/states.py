@@ -3,7 +3,8 @@ closed-form separability bounds.
 
 Every named family except custom_matrix is a point (N, eps) of one set, the
 mixtures rho = (1 - eps)/2^N identity + eps |cat_N><cat_N| with the N-qubit cat
-state (|0...0> + |1...1>)/sqrt(2).  A family may fix N (werner: 2, eps_ghz: 3)
+state (|0...0> + |1...1>)/sqrt(2), built as its exact Pauli tensor
+mix_with_identity(cat, eps).  A family may fix N (werner: 2, eps_ghz: 3)
 or eps (maximally_mixed: 0, cat: 1); the spec supplies the rest, and a supplied
 eps must lie in [0, 1] even where the family fixes it.  It is separable exactly up
 to eps_N = bound_duer(N), where cat_ensemble(N) proves it.  Numbers in state and
@@ -100,10 +101,35 @@ class StateSpec:
         return out
 
 
-def cat_state_vector(n: int) -> np.ndarray:
-    v = np.zeros(2**n, dtype=complex)
-    v[0] = v[-1] = 1.0 / math.sqrt(2.0)
-    return v
+def _cat_strings(n: int):
+    """(axes, sign) for each x/y Pauli string with a correlation in the N-qubit
+    cat state: axes of 1 (x) and 2 (y) with an even number of 2s, in
+    itertools.product order, and that correlation, sign = (-1)^(#y/2)."""
+    for axes in itertools.product((1, 2), repeat=n):
+        if (ys := axes.count(2)) % 2 == 0:
+            yield axes, (-1) ** (ys // 2)
+
+
+def _cat_coefficients(n: int) -> PauliCoefficients:
+    """The N-qubit cat state's Pauli tensor in closed form: 1 on every z-string of
+    even weight, the identity included, the sign of _cat_strings on each of its
+    x/y strings, and an exact 0 elsewhere."""
+    c = np.zeros((4,) * n)
+    for axes in itertools.product((0, 3), repeat=n):
+        c[axes] = axes.count(3) % 2 == 0
+    for axes, sign in _cat_strings(n):
+        c[axes] = sign
+    return PauliCoefficients(n, c)
+
+
+def mix_with_identity(pure: PauliCoefficients, epsilon: float) -> PauliCoefficients:
+    """Pauli tensor of (1 - eps)/2^N identity + eps * (state behind `pure`)."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must lie in [0, 1]")
+    # eps = 0 times a negative entry is -0.0, and adding 0.0 makes it 0.0
+    c = epsilon * pure.coeffs + 0.0
+    c[(0,) * pure.qubits] = 1.0
+    return PauliCoefficients(pure.qubits, c)
 
 
 def build_state(spec: StateSpec) -> DenseOperator:
@@ -141,9 +167,7 @@ def build_state(spec: StateSpec) -> DenseOperator:
     if eps is None:
         raise ValueError(f"family {spec.family!r} needs an epsilon")
     _require_qubits(n, "the %s state", family)
-    v = cat_state_vector(n)
-    m = (1.0 - eps) * np.eye(2**n) / 2**n + eps * np.outer(v, v.conj())
-    return DenseOperator(m, n, hermitian=True)
+    return pauli_to_operator(mix_with_identity(_cat_coefficients(n), eps))
 
 
 # --- closed-form separability bounds ---------------------------------------
@@ -291,15 +315,6 @@ class ProductEnsemble:
         return cls(qubits, terms)
 
 
-def _cat_strings(n: int):
-    """(axes, sign) for each x/y Pauli string with a correlation in the N-qubit
-    cat state: axes of 1 (x) and 2 (y) with an even number of 2s, in
-    itertools.product order, and that correlation, sign = (-1)^(#y/2)."""
-    for axes in itertools.product((1, 2), repeat=n):
-        if (ys := axes.count(2)) % 2 == 0:
-            yield axes, (-1) ** (ys // 2)
-
-
 def cat_ensemble(n: int) -> ProductEnsemble:
     """The eps-cat state at eps_N = bound_duer(n), the sharp separability bound,
     as 2 + 4^(N-1) pure product terms on the cardinal6 vertices.
@@ -322,16 +337,6 @@ def cat_ensemble(n: int) -> ProductEnsemble:
                 vectors = tuple(map(_axis, axes, signs))
                 terms.append(EnsembleTerm(eps / 2 ** (n - 1), vectors, label))
     return ProductEnsemble(n, tuple(terms))
-
-
-def werner_ensemble() -> ProductEnsemble:
-    """The eps = 1/3 Werner state as six product terms: cat_ensemble(2)."""
-    return cat_ensemble(2)
-
-
-def ghz_ensemble() -> ProductEnsemble:
-    """The eps = 1/5 GHZ state as eighteen product terms: cat_ensemble(3)."""
-    return cat_ensemble(3)
 
 
 def dilute_with_mixed(e: ProductEnsemble, weight: float) -> ProductEnsemble:

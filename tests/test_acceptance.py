@@ -17,8 +17,8 @@ from blochframes import (
     add_hosh,
     build_frame,
     build_state,
+    cat_ensemble,
     ensemble_to_table,
-    ghz_ensemble,
     pauli_coefficients,
     ppt_min_eigenvalue,
     reconstruct_continuous,
@@ -28,7 +28,6 @@ from blochframes import (
     sphere_quadrature,
     threshold_search,
     wcan_discrete,
-    werner_ensemble,
     witness_ghz,
     witness_werner,
 )
@@ -148,11 +147,11 @@ def test_06_cat_thresholds_by_search(capsys):
 
 def test_07_ensemble_mixtures(capsys):
     werner_dev = float(np.max(np.abs(
-        werner_ensemble().mixture().matrix
+        cat_ensemble(2).mixture().matrix
         - build_state(StateSpec("werner", epsilon=1 / 3)).matrix
     )))
     ghz_dev = float(np.max(np.abs(
-        ghz_ensemble().mixture().matrix
+        cat_ensemble(3).mixture().matrix
         - build_state(StateSpec("eps_ghz", epsilon=1 / 5)).matrix
     )))
     ok = werner_dev < 1e-14 and ghz_dev < 1e-14
@@ -195,7 +194,7 @@ def test_09_canonical_vs_optimal_gap(capsys):
     frames = [build_frame("octahedron")] * 3
     rho = build_state(StateSpec("eps_ghz", epsilon=1 / 5))
     canonical_min = wcan_discrete(rho, frames).min_entry()
-    ensemble_min = ensemble_to_table(ghz_ensemble(), frames).min_entry()
+    ensemble_min = ensemble_to_table(cat_ensemble(3), frames).min_entry()
     ok = canonical_min < -1e-6 and ensemble_min >= 0.0
     report(capsys, 9, "canonical vs optimal gap", ok,
            f"(canonical min {canonical_min:.6f}, ensemble min {ensemble_min:.3e})")

@@ -195,14 +195,14 @@ def test_verify_ensemble_wrong_target(capsys):
 
 
 def test_verify_ensemble_measures_deviation_like_certify(capsys):
-    from blochframes import CertificateError, certify, werner_ensemble
+    from blochframes import CertificateError, cat_ensemble, certify
 
     # max-abs deviation 9e-11 but Frobenius 1.8e-10, beyond RECONSTRUCTION_TOL
     d = 9e-11
-    m = werner_ensemble().mixture().matrix + np.diag([d, -d, d, -d])
+    m = cat_ensemble(2).mixture().matrix + np.diag([d, -d, d, -d])
     state = {"family": "custom_matrix", "matrix": [[[e.real, e.imag] for e in row] for row in m]}
     with pytest.raises(CertificateError):
-        certify(build_state(StateSpec.from_json(state)), werner_ensemble())
+        certify(build_state(StateSpec.from_json(state)), cat_ensemble(2))
     code, out, err = run_cli(
         capsys, ["verify-ensemble", "--name", "werner", "--state", json.dumps(state)]
     )
@@ -213,10 +213,10 @@ def test_verify_ensemble_measures_deviation_like_certify(capsys):
 
 
 def test_verify_ensemble_from_file(capsys, tmp_path):
-    from blochframes import werner_ensemble
+    from blochframes import cat_ensemble
 
     path = tmp_path / "ensemble.json"
-    path.write_text(json.dumps(werner_ensemble().to_json()))
+    path.write_text(json.dumps(cat_ensemble(2).to_json()))
     code, out, err = run_cli(
         capsys,
         ["verify-ensemble", "--file", str(path),
@@ -227,10 +227,10 @@ def test_verify_ensemble_from_file(capsys, tmp_path):
 
 
 def test_verify_ensemble_file_needs_state(capsys, tmp_path):
-    from blochframes import werner_ensemble
+    from blochframes import cat_ensemble
 
     path = tmp_path / "ensemble.json"
-    path.write_text(json.dumps(werner_ensemble().to_json()))
+    path.write_text(json.dumps(cat_ensemble(2).to_json()))
     code, out, err = run_cli(capsys, ["verify-ensemble", "--file", str(path)])
     assert code == 2
 
@@ -312,6 +312,34 @@ def _count_grid_scans(monkeypatch) -> list:
 
     monkeypatch.setattr(PauliCoefficients, "node_values", counted)
     return calls
+
+
+@pytest.mark.parametrize("state", [
+    {"family": "eps_cat", "n": 3, "epsilon": 0.3},
+    {"family": "werner", "epsilon": 0.4},
+    {"family": "maximally_mixed", "n": 2},
+    {"family": "cat", "n": 4},
+])
+def test_family_requests_make_no_pauli_contraction(capsys, monkeypatch, state):
+    import blochframes.cli as cli
+    import blochframes.representations as representations
+
+    # pauli_coefficients' contraction, and nothing else in representations, first
+    # reads its operator's Hermitian part
+    calls = []
+    hermitian = representations._hermitian
+    monkeypatch.setattr(representations, "_hermitian", lambda m, *a: calls.append(m) or hermitian(m, *a))
+    cli._cat_minimum.cache_clear()
+    text = json.dumps(state)
+    name = "werner" if state.get("n", 2) == 2 else "ghz"
+    for argv in (["min-wcan", "--state", text, "--grid", "12", "--threshold-search"],
+                 ["witness", "--name", name, "--state", text],
+                 ["coeffs", "--state", text]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, calls) == (0, []), argv
+    # the patch counts a contraction where one is made
+    pauli_coefficients(build_state(StateSpec("custom_matrix", matrix=np.eye(4) / 4)))
+    assert len(calls) == 1
 
 
 def test_min_wcan_threshold_search_minimizes_its_own_target_once(capsys, monkeypatch):
@@ -629,7 +657,7 @@ def test_min_wcan_refuses_a_grid_below_six(capsys, grid):
 
 
 def test_refusals_of_mismatched_or_missing_arguments(capsys, tmp_path):
-    from blochframes import werner_ensemble
+    from blochframes import cat_ensemble
 
     cardinal = '{"kind": "cardinal6"}'
     code, out, err = run_cli(
@@ -640,7 +668,7 @@ def test_refusals_of_mismatched_or_missing_arguments(capsys, tmp_path):
     assert (code, out, err) == (3, "", "error: expected 2 frames, got 3\n")
 
     path = tmp_path / "ensemble.json"
-    path.write_text(json.dumps(werner_ensemble().to_json()))
+    path.write_text(json.dumps(cat_ensemble(2).to_json()))
     code, out, err = run_cli(
         capsys,
         ["verify-ensemble", "--file", str(path),

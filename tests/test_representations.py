@@ -66,6 +66,16 @@ def test_pauli_roundtrip(rng):
         assert np.abs(back.matrix - rho.matrix).max() < 1e-12
 
 
+def test_operator_built_from_a_tensor_gives_that_tensor_back(rng):
+    c = pauli_coefficients(random_density(rng, 3))
+    rho = pauli_to_operator(c)
+    assert pauli_coefficients(rho) is c
+    # the same matrix on an operator of its own is contracted afresh, to rounding
+    again = pauli_coefficients(DenseOperator(rho.matrix, 3))
+    assert again is not c
+    assert np.abs(again.coeffs - c.coeffs).max() < 1e-15
+
+
 def test_pauli_coefficients_reject_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):

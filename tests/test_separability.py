@@ -18,12 +18,10 @@ from blochframes import (
     cat_ensemble,
     certify,
     ensemble_to_table,
-    ghz_ensemble,
     partial_transpose,
     pauli_coefficients,
     ppt_min_eigenvalue,
     wcan_discrete,
-    werner_ensemble,
     witness_ghz,
     witness_werner,
 )
@@ -32,7 +30,7 @@ from conftest import random_density
 
 def test_certify_werner_ensemble_table():
     target = build_state(StateSpec("werner", epsilon=1 / 3))
-    table = ensemble_to_table(werner_ensemble(), [build_frame("cardinal6")] * 2)
+    table = ensemble_to_table(cat_ensemble(2), [build_frame("cardinal6")] * 2)
     cert = certify(target, table)
     assert cert.verdict == "separable"
     assert cert.minimum_coefficient >= 0
@@ -41,7 +39,7 @@ def test_certify_werner_ensemble_table():
 
 def test_certify_ghz_ensemble_direct():
     target = build_state(StateSpec("eps_ghz", epsilon=1 / 5))
-    cert = certify(target, ghz_ensemble())
+    cert = certify(target, cat_ensemble(3))
     assert cert.verdict == "separable"
     assert cert.representation is None
 
@@ -96,8 +94,8 @@ def test_certify_rejects_nan_state():
     m = np.eye(4) / 4
     m[0, 0] = math.nan
     rho = DenseOperator(m, 2)
-    table = ensemble_to_table(werner_ensemble(), [build_frame("cardinal6")] * 2)
-    for representation in (werner_ensemble(), table):
+    table = ensemble_to_table(cat_ensemble(2), [build_frame("cardinal6")] * 2)
+    for representation in (cat_ensemble(2), table):
         with pytest.raises(CertificateError):
             certify(rho, representation)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -6,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochframes import (
     BlochVector,
@@ -21,31 +24,21 @@ from blochframes import (
     build_state,
     cat_ensemble,
     certify,
-    cat_state_vector,
     PauliCoefficients,
     dilute_with_mixed,
     ensemble_to_table,
     frame_from_json,
     frame_to_json,
-    ghz_ensemble,
+    mix_with_identity,
     pauli_coefficients,
     pauli_to_operator,
     tensor,
     validate_density,
-    werner_ensemble,
 )
 import blochframes.states as states
 from blochframes.frames import FRAME_KINDS
 from blochframes.operators import RECONSTRUCTION_TOL
 from conftest import random_density
-
-
-def test_cat_state_vector():
-    v = cat_state_vector(3)
-    assert v.shape == (8,)
-    assert abs(v[0] - 1 / math.sqrt(2)) < 1e-15
-    assert abs(v[7] - 1 / math.sqrt(2)) < 1e-15
-    assert np.abs(v[1:7]).max() == 0
 
 
 def test_build_state_families_are_densities():
@@ -98,11 +91,27 @@ def test_family_table_matches_formula():
         for n in range(1, 6):
             if fixed_n not in (None, n):
                 continue
-            v = cat_state_vector(n)
-            expected = (1.0 - eps) * np.eye(2**n) / 2**n + eps * np.outer(v, v.conj())
             rho = build_state(StateSpec(family, qubits=n, epsilon=eps))
             assert rho.qubits == n
-            assert np.array_equal(rho.matrix, expected), (family, n)
+            # the closed form written out: 1 at the identity, eps on every other
+            # z-string of even weight, +-eps on each x/y string with an even
+            # number of y legs, signed (-1)^(#y/2), and 0 elsewhere
+            expected = np.zeros((4,) * n)
+            for idx in itertools.product(range(4), repeat=n):
+                ys = idx.count(2)
+                if set(idx) <= {0, 3} and idx.count(3) % 2 == 0:
+                    expected[idx] = eps
+                elif set(idx) <= {1, 2} and ys % 2 == 0:
+                    expected[idx] = eps if ys % 4 == 0 else -eps
+            expected[(0,) * n] = 1.0
+            c = pauli_coefficients(rho).coeffs
+            assert np.array_equal(c, expected), (family, n)
+            assert not np.signbit(c[c == 0]).any(), (family, n)
+            # the dense formula with the cat state vector, to rounding
+            v = np.zeros(2**n)
+            v[0] = v[-1] = 1.0 / math.sqrt(2.0)
+            dense = (1.0 - eps) * np.eye(2**n) / 2**n + eps * np.outer(v, v)
+            assert np.abs(rho.matrix - dense).max() <= 2e-16, (family, n)
     for spec, message in [
         (StateSpec("werner", qubits=3, epsilon=0.1), "the werner family is defined on exactly 2"),
         (StateSpec("eps_ghz", qubits=2, epsilon=0.1), "the eps_ghz family is defined on exactly 3"),
@@ -115,6 +124,27 @@ def test_family_table_matches_formula():
     ]:
         with pytest.raises(ValueError, match=message):
             build_state(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.floats(0.0, 1.0))
+def test_family_tensor_is_exact(n, eps):
+    c = pauli_coefficients(build_state(StateSpec("eps_cat", qubits=n, epsilon=eps))).coeffs.ravel()
+    assert c[0] == 1.0
+    rest = c[1:]
+    nonzero = rest[rest != 0.0]
+    # 2^(N-1) - 1 even-weight z-strings and 2^(N-1) cat x/y strings
+    assert len(nonzero) == (2**n - 1 if eps else 0)
+    assert np.array_equal(np.abs(nonzero), np.full(len(nonzero), eps))
+    assert not np.signbit(c[c == 0.0]).any()
+
+
+def test_mix_with_identity_writes_positive_zeros():
+    pure = pauli_coefficients(build_state(StateSpec("cat", qubits=3)))
+    assert np.count_nonzero(pure.coeffs < 0) == 3  # the strings xyy, yxy and yyx
+    c = mix_with_identity(pure, 0.0).coeffs
+    assert c[0, 0, 0] == 1.0 and np.count_nonzero(c) == 1
+    assert not np.signbit(c).any()
 
 
 def test_unknown_family():
@@ -227,7 +257,7 @@ def test_bound_orderings():
 
 
 def test_werner_ensemble_mixes_exactly():
-    e = werner_ensemble()
+    e = cat_ensemble(2)
     assert len(e.terms) == 6
     assert abs(sum(p for p, _, _ in e.terms) - 1.0) < 1e-15
     target = build_state(StateSpec("werner", epsilon=1 / 3))
@@ -235,13 +265,13 @@ def test_werner_ensemble_mixes_exactly():
 
 
 def test_ghz_ensemble_mixes_exactly():
-    e = ghz_ensemble()
+    e = cat_ensemble(3)
     assert len(e.terms) == 18
     target = build_state(StateSpec("eps_ghz", epsilon=1 / 5))
     assert np.abs(e.mixture().matrix - target.matrix).max() < 1e-14
 
 
-# werner_ensemble() as (probability, Bloch vectors), term by term
+# cat_ensemble(2) as (probability, Bloch vectors), term by term
 _WERNER_TERMS = [
     (1 / 6, ((0, 0, 1), (0, 0, 1))),
     (1 / 6, ((0, 0, -1), (0, 0, -1))),
@@ -253,7 +283,7 @@ _WERNER_TERMS = [
 
 
 def test_werner_ensemble_terms_pinned():
-    e = werner_ensemble()
+    e = cat_ensemble(2)
     assert [(p, tuple(map(tuple, vectors))) for p, vectors, _ in e.terms] == _WERNER_TERMS
     assert [t.label for t in e.terms] == ["poles", "poles", "x,x", "x,x", "y,y", "y,y"]
 
@@ -267,14 +297,14 @@ def test_cat_ensemble_mixes_to_the_sharp_bound(n):
 
 
 def test_ensemble_terms_are_valid_densities():
-    for e in (werner_ensemble(), ghz_ensemble()):
+    for e in (cat_ensemble(2), cat_ensemble(3)):
         for _p, vectors, _label in e.terms:
             term = tensor([bloch_projector(v) for v in vectors])
             assert validate_density(term).passed
 
 
 def test_ghz_ensemble_term_structure():
-    e = ghz_ensemble()
+    e = cat_ensemble(3)
     labels = [t.label for t in e.terms]
     assert labels.count("poles") == 2
     assert labels.count("x,x,x") == 4
@@ -316,7 +346,7 @@ def test_ensemble_accepts_many_equal_terms(t):
 
 
 def test_ensemble_json_roundtrip():
-    e = werner_ensemble()
+    e = cat_ensemble(2)
     data = e.to_json()
     e2 = ProductEnsemble.from_json(data)
     assert e2.qubits == 2
@@ -327,7 +357,7 @@ def test_ensemble_json_roundtrip():
 
 def test_ensemble_to_table_nonnegative():
     frames = [build_frame("cardinal6")] * 2
-    t = ensemble_to_table(werner_ensemble(), frames)
+    t = ensemble_to_table(cat_ensemble(2), frames)
     assert t.min_entry() >= 0
     assert abs(t.total() - 1.0) < 1e-14
     # six occupied cells at weight 1/6 each
@@ -339,7 +369,7 @@ def test_ensemble_to_table_reconstructs():
     from blochframes import reconstruct_discrete
 
     frames = [build_frame("cardinal6")] * 3
-    t = ensemble_to_table(ghz_ensemble(), frames)
+    t = ensemble_to_table(cat_ensemble(3), frames)
     target = build_state(StateSpec("eps_ghz", epsilon=1 / 5))
     assert np.abs(reconstruct_discrete(t).matrix - target.matrix).max() < 1e-12
 
@@ -353,7 +383,7 @@ def test_ensemble_to_table_rejects_off_frame_vectors():
 
 
 def test_dilute_with_mixed_reaches_smaller_epsilon():
-    diluted = dilute_with_mixed(werner_ensemble(), 0.6)
+    diluted = dilute_with_mixed(cat_ensemble(2), 0.6)
     target = build_state(StateSpec("werner", epsilon=0.2))
     assert np.abs(diluted.mixture().matrix - target.matrix).max() < 1e-14
     assert len(diluted.terms) == 10
@@ -414,8 +444,8 @@ def _random_ensemble(rng, n, terms):
 
 
 def _test_ensembles(rng):
-    out = [werner_ensemble(), ghz_ensemble(),
-           dilute_with_mixed(werner_ensemble(), 0.6), dilute_with_mixed(ghz_ensemble(), 0.3)]
+    out = [cat_ensemble(2), cat_ensemble(3),
+           dilute_with_mixed(cat_ensemble(2), 0.6), dilute_with_mixed(cat_ensemble(3), 0.3)]
     out += [_random_ensemble(rng, n, terms) for n in (1, 2, 3, 4) for terms in (1, 5, 17)]
     return out
 
@@ -661,9 +691,9 @@ def test_cat_ensemble_reads_a_numpy_qubit_count_as_a_python_int(monkeypatch):
     "call, message",
     [
         (lambda: build_state(StateSpec("custom_matrix", qubits=2)), "custom_matrix needs an explicit matrix"),
-        (lambda: dilute_with_mixed(werner_ensemble(), 1.5), r"weight must lie in \[0, 1\]"),
-        (lambda: dilute_with_mixed(werner_ensemble(), math.nan), r"weight must lie in \[0, 1\]"),
-        (lambda: ensemble_to_table(werner_ensemble(), [build_frame("cardinal6")]),
+        (lambda: dilute_with_mixed(cat_ensemble(2), 1.5), r"weight must lie in \[0, 1\]"),
+        (lambda: dilute_with_mixed(cat_ensemble(2), math.nan), r"weight must lie in \[0, 1\]"),
+        (lambda: ensemble_to_table(cat_ensemble(2), [build_frame("cardinal6")]),
          "expected 2 frames, got 1"),
     ],
     ids=["custom-without-matrix", "dilution-1.5", "dilution-nan", "frame-count"],

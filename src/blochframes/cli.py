@@ -273,7 +273,8 @@ def _cat_minimum(n: int, grid: int, refined: bool) -> tuple[float, MinimizeResul
     report's argmin and grid_ties of that minimization kept with the text json
     writes for them, once per key (at most 24 ties, about 12 KB at n = 9): the
     eps = 1 target of every eps-family, minimized on its closed-form Pauli
-    tensor and kept without it (2 MB at n = 9).  minimize_wcan refines alike
+    tensor, which states._cat_coefficients keeps and this memo does not (2 MB at
+    n = 9).  minimize_wcan refines alike
     at every positive count, so each key is computed once per process; the
     module's threshold_search is looked up at call time."""
     pure = _cat_coefficients(n)

@@ -145,6 +145,10 @@ class DenseOperator:
     asserts Hermiticity within DEFAULT_VALIDATION_TOL entrywise, raises otherwise,
     and stores an exactly Hermitian matrix: the input itself if it already is one,
     its Hermitian part (A + A^dag)/2 if not.
+
+    An operator that pauli_to_operator built holds its Pauli tensor alone.  It
+    forms its matrix on the first read of ``matrix``, through this constructor
+    with ``hermitian=True``, and keeps it; qubits and dim form nothing.
     """
 
     matrix: np.ndarray
@@ -168,9 +172,18 @@ class DenseOperator:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: of those, only the
+        # matrix of an operator built from its Pauli tensor is formed here
+        if name != "matrix" or self._pauli is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        m = DenseOperator(self._pauli._matrix(), self.qubits, hermitian=True).matrix
+        object.__setattr__(self, "matrix", m)
+        return m
+
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return 2**self.qubits
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))

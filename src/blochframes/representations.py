@@ -95,6 +95,17 @@ class PauliCoefficients:
         values *= (3.0 / FOUR_PI) ** self.qubits
         return values
 
+    def _matrix(self) -> np.ndarray:
+        """The 2^N x 2^N matrix 2^-N sum c sigma x ... x sigma: the one route from a
+        Pauli tensor to a matrix, taken on the first read of the matrix of an
+        operator that pauli_to_operator built."""
+        n, d = self.qubits, 2**self.qubits
+        # sigma_b as column b of a (4, 4) matrix of its flattened (i, j) entries
+        t = _mode_contract(self.coeffs, [sigma_stack().reshape(4, 4).T] * n)
+        # axes are now (i_1, j_1, ..., i_N, j_N); interleave into row/column blocks
+        perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+        return t.reshape((2,) * (2 * n)).transpose(perm).reshape(d, d) / d
+
     def to_dict(self) -> dict:
         """JSON form {"n": N, "coeffs": {"a1...aN": value}} listing nonzeros."""
         entries = {"".join(map(str, idx)): float(v) for idx, v in np.ndenumerate(self.coeffs) if v}
@@ -134,17 +145,11 @@ def pauli_coefficients(rho: DenseOperator) -> PauliCoefficients:
 
 
 def pauli_to_operator(c: PauliCoefficients) -> DenseOperator:
-    """Inverse of pauli_coefficients: rho = 2^-N sum c sigma x ... x sigma, stored
-    exactly Hermitian and carrying c, which pauli_coefficients then reads back
-    exactly.  The one route from a Pauli tensor to a matrix."""
-    n, d = c.qubits, 2**c.qubits
-    # sigma_b as column b of a (4, 4) matrix of its flattened (i, j) entries
-    t = _mode_contract(c.coeffs, [sigma_stack().reshape(4, 4).T] * n)
-    # axes are now (i_1, j_1, ..., i_N, j_N); interleave into row/column blocks
-    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    m = t.reshape((2,) * (2 * n)).transpose(perm).reshape(d, d) / d
-    rho = DenseOperator(m, n, hermitian=True)
-    object.__setattr__(rho, "_pauli", c)
+    """Inverse of pauli_coefficients: the operator rho = 2^-N sum c sigma x ... x
+    sigma, holding c alone, which pauli_coefficients then reads back exactly.  Its
+    matrix is formed, exactly Hermitian, on the first read of rho.matrix."""
+    rho = object.__new__(DenseOperator)
+    rho.__dict__.update(qubits=c.qubits, hermitian=True, _pauli=c)
     return rho
 
 

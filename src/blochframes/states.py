@@ -14,6 +14,7 @@ key that their objects do not take is refused by operators._json_keys.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -110,10 +111,13 @@ def _cat_strings(n: int):
             yield axes, (-1) ** (ys // 2)
 
 
+@functools.lru_cache(maxsize=8)
 def _cat_coefficients(n: int) -> PauliCoefficients:
     """The N-qubit cat state's Pauli tensor in closed form: 1 on every z-string of
     even weight, the identity included, the sign of _cat_strings on each of its
-    x/y strings, and an exact 0 elsewhere."""
+    x/y strings, and an exact 0 elsewhere.  Kept for the last 8 qubit counts asked
+    for; the tensor is read-only, and one entry is 8 MB at N = 10, so all 8 hold
+    at most about 11 MB."""
     c = np.zeros((4,) * n)
     for axes in itertools.product((0, 3), repeat=n):
         c[axes] = axes.count(3) % 2 == 0
@@ -126,7 +130,8 @@ def mix_with_identity(pure: PauliCoefficients, epsilon: float) -> PauliCoefficie
     """Pauli tensor of (1 - eps)/2^N identity + eps * (state behind `pure`)."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    # eps = 0 times a negative entry is -0.0, and adding 0.0 makes it 0.0
+    # a new array, so a kept `pure` is left as it is; eps = 0 times a negative
+    # entry is -0.0, and adding 0.0 makes it 0.0
     c = epsilon * pure.coeffs + 0.0
     c[(0,) * pure.qubits] = 1.0
     return PauliCoefficients(pure.qubits, c)

@@ -314,12 +314,15 @@ def _count_grid_scans(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("state", [
+_FAMILY_STATES = [
     {"family": "eps_cat", "n": 3, "epsilon": 0.3},
     {"family": "werner", "epsilon": 0.4},
     {"family": "maximally_mixed", "n": 2},
     {"family": "cat", "n": 4},
-])
+]
+
+
+@pytest.mark.parametrize("state", _FAMILY_STATES)
 def test_family_requests_make_no_pauli_contraction(capsys, monkeypatch, state):
     import blochframes.cli as cli
     import blochframes.representations as representations
@@ -340,6 +343,48 @@ def test_family_requests_make_no_pauli_contraction(capsys, monkeypatch, state):
     # the patch counts a contraction where one is made
     pauli_coefficients(build_state(StateSpec("custom_matrix", matrix=np.eye(4) / 4)))
     assert len(calls) == 1
+
+
+def _count_formations(monkeypatch) -> list:
+    """The Pauli tensors whose operator's matrix is formed from then on: an operator
+    that pauli_to_operator built forms it through PauliCoefficients._matrix."""
+    calls = []
+    form = PauliCoefficients._matrix
+    monkeypatch.setattr(PauliCoefficients, "_matrix", lambda self: calls.append(self) or form(self))
+    return calls
+
+
+@pytest.mark.parametrize("state", _FAMILY_STATES)
+def test_family_requests_form_no_matrix(capsys, monkeypatch, tmp_path, state):
+    import blochframes.cli as cli
+
+    calls = _count_formations(monkeypatch)
+    cli._cat_minimum.cache_clear()
+    text = json.dumps(state)
+    name = "werner" if state.get("n", 2) == 2 else "ghz"
+    for argv in (["min-wcan", "--state", text, "--grid", "12", "--threshold-search"],
+                 ["witness", "--name", name, "--state", text],
+                 ["coeffs", "--state", text],
+                 ["coeffs", "--state", text, "--out", str(tmp_path / "table.csv")],
+                 ["--format", "json", "coeffs", "--state", text]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, calls) == (0, []), argv
+
+
+@pytest.mark.parametrize("argv, formed", [
+    (["ppt", "--state", '{"family": "werner", "epsilon": 0.2}'], 1),
+    # the ensemble's mixture and the target state
+    (["verify-ensemble", "--name", "ghz"], 2),
+    (["verify-ensemble", "--name", "werner"], 2),
+    # a custom matrix is held as given, so there is nothing to form
+    (["ppt", "--state", '{"family": "custom_matrix", "matrix": [[0.25, 0, 0, 0], [0, 0.25, 0, 0], '
+                        '[0, 0, 0.25, 0], [0, 0, 0, 0.25]]}'], 0),
+])
+def test_matrix_readers_form_each_tensor_built_matrix_once(capsys, monkeypatch, argv, formed):
+    calls = _count_formations(monkeypatch)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert len(calls) == len({id(c) for c in calls}) == formed
 
 
 def test_min_wcan_threshold_search_minimizes_its_own_target_once(capsys, monkeypatch):

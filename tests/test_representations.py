@@ -1,6 +1,8 @@
+import copy
 import io
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -18,11 +20,13 @@ from blochframes import (
     build_frame,
     build_state,
     continuous_dual,
+    mix_with_identity,
     pauli,
     pauli_coefficients,
     pauli_to_operator,
     reconstruct_continuous,
     reconstruct_discrete,
+    sigma_stack,
     sphere_grid,
     sphere_quadrature,
     tensor,
@@ -34,6 +38,7 @@ from blochframes.cli import main
 from blochframes.operators import _pauli_rows
 from blochframes import representations
 from blochframes.representations import _CSV_BLOCK_ROWS, _mode_contract
+from blochframes.states import _cat_coefficients
 from conftest import random_density, random_hermitian
 
 FOUR_PI = 4 * math.pi
@@ -74,6 +79,50 @@ def test_operator_built_from_a_tensor_gives_that_tensor_back(rng):
     again = pauli_coefficients(DenseOperator(rho.matrix, 3))
     assert again is not c
     assert np.abs(again.coeffs - c.coeffs).max() < 1e-15
+
+
+def eager_matrix(c: PauliCoefficients) -> np.ndarray:
+    """The matrix of pauli_to_operator(c) as it was once formed at construction:
+    the reference its first read must match bit for bit."""
+    n, d = c.qubits, 2**c.qubits
+    t = _mode_contract(c.coeffs, [sigma_stack().reshape(4, 4).T] * n)
+    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    m = t.reshape((2,) * (2 * n)).transpose(perm).reshape(d, d) / d
+    return DenseOperator(m, n, hermitian=True).matrix
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), family=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       eps=st.floats(0.0, 1.0), formed=st.booleans())
+def test_tensor_built_operator_forms_the_eager_matrix_on_first_read(n, family, seed, eps, formed):
+    if family:
+        c = mix_with_identity(_cat_coefficients(n), eps)
+    else:
+        c = PauliCoefficients(n, np.random.default_rng(seed).normal(size=(4,) * n))
+    expected = eager_matrix(c)
+    rho = pauli_to_operator(c)
+    # qubits and dim form nothing
+    assert (rho.qubits, rho.dim, rho.hermitian) == (n, 2**n, True)
+    assert "matrix" not in vars(rho)
+    if formed:
+        m = rho.matrix
+        assert _same_bits(m, expected)
+        assert not m.flags.writeable
+        assert rho.matrix is m
+        assert np.array_equal(m, m.conj().T)
+    assert pauli_coefficients(rho) is c
+    for twin in (copy.deepcopy(rho), pickle.loads(pickle.dumps(rho))):
+        assert ("matrix" in vars(twin)) == formed
+        assert np.array_equal(pauli_coefficients(twin).coeffs, c.coeffs)
+        assert _same_bits(twin.matrix, expected)
+        assert twin.matrix is twin.matrix
+    if not formed:
+        assert _same_bits(rho.matrix, expected)
+        assert not rho.matrix.flags.writeable
 
 
 def test_pauli_coefficients_reject_non_hermitian():

@@ -6,6 +6,8 @@ angular density), minimizes the expansion function over product directions,
 and certifies or refutes separability against closed-form thresholds.
 """
 
+import types as _types
+
 from .operators import (
     BlochVector,
     DenseOperator,
@@ -75,62 +77,6 @@ from .separability import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochVector",
-    "CertificateError",
-    "CoefficientTable",
-    "DenseOperator",
-    "DensityCheck",
-    "EnsembleTerm",
-    "Frame",
-    "FrameCheck",
-    "MinimizeResult",
-    "NonSpanningFrameError",
-    "PauliCoefficients",
-    "ProductEnsemble",
-    "SeparabilityCertificate",
-    "SphCoefficients",
-    "StateSpec",
-    "WitnessReport",
-    "add_hosh",
-    "bloch_projector",
-    "bound_cat",
-    "bound_duer",
-    "bound_general",
-    "build_frame",
-    "build_state",
-    "cat_ensemble",
-    "certify",
-    "continuous_dual",
-    "dilute_with_mixed",
-    "dual_frame",
-    "ensemble_to_table",
-    "frame_check",
-    "frame_from_json",
-    "frame_to_json",
-    "hermitian_eigenvalues",
-    "minimize_wcan",
-    "mix_with_identity",
-    "partial_transpose",
-    "pauli",
-    "pauli_coefficients",
-    "pauli_to_operator",
-    "polyhedron_vectors",
-    "ppt_min_eigenvalue",
-    "reconstruct_continuous",
-    "reconstruct_discrete",
-    "reflect_octant",
-    "sigma_stack",
-    "sph_coefficients",
-    "sph_y",
-    "sphere_grid",
-    "sphere_quadrature",
-    "tensor",
-    "threshold_search",
-    "trace_inner",
-    "validate_density",
-    "wcan_continuous",
-    "wcan_discrete",
-    "witness_ghz",
-    "witness_werner",
-]
+# every public name imported above, and no other
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

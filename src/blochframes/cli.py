@@ -34,8 +34,8 @@ from pathlib import Path
 
 from .frames import Frame, build_frame, frame_from_json
 from .minimize import _TIE_WIDTH, MinimizeResult, _threshold, minimize_wcan, threshold_search
-from .operators import RECONSTRUCTION_TOL, SIGN_TOL, _deviation
-from .representations import PauliCoefficients, pauli_coefficients, wcan_continuous, wcan_discrete
+from .operators import RECONSTRUCTION_TOL, SIGN_TOL
+from .representations import PauliCoefficients, _deviation, pauli_coefficients, wcan_continuous, wcan_discrete
 from .separability import ppt_min_eigenvalue, witness_ghz, witness_werner
 from .states import (
     _MIXTURES,

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .operators import BlochVector, DenseOperator, _pauli_matrices, _pauli_rows, _require_unit
-from .operators import _json_keys, _json_vector
+from .operators import _Frozen, _json_keys, _json_vector
 
 GRAM_RANK_CUTOFF = 1e-10
 BALANCE_TOL = 1e-10  # centroid and moment residual up to which frame_check passes
@@ -99,7 +99,7 @@ def _sphere_monomial_integral(a: int, b: int, c: int) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class Frame:
+class Frame(_Frozen):
     """A spanning projector family and its duals, all computed from the vectors.
 
     rows is A (see the module docstring) and is read-only; the projectors and

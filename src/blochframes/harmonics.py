@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .operators import _Frozen
 from .representations import FOUR_PI, PauliCoefficients, _mode_contract
 
 HoshKey = tuple[tuple[int, int], ...]
@@ -63,7 +64,7 @@ def _node_angles(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class SphCoefficients:
+class SphCoefficients(_Frozen):
     """Spherical-harmonic coefficients of one expansion function.
 
     pauli is the canonical (l <= 1) part as a Pauli tensor.  hosh is a sparse

@@ -1,18 +1,20 @@
 """Dense complex operator algebra for small multi-qubit systems.
 
-Everything here is a plain numpy computation on matrices of size 2^N x 2^N.
+Everything here is a plain numpy computation on matrices of size 2^N x 2^N,
+and a DenseOperator holds its matrix (a subclass may form it on first read).
 Qubit ordering is big-endian throughout the package: the first tensor factor
 owns the most significant bit of the computational-basis index.
 "Hermitian" is decided once: _hermitian_part measures max |A - A^dag| and forms
 the Hermitian part, _hermitian raises on it beyond DEFAULT_VALIDATION_TOL and
 validate_density reports it; a DenseOperator flagged hermitian=True holds an
-exactly Hermitian matrix.
+exactly Hermitian matrix.  The package's frozen types keep their arrays read-only,
+in a copy or an unpickled instance too (_Frozen).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -107,6 +109,18 @@ def _require_qubits(n: int, what: str, *args) -> None:
         raise ValueError(f"{what} is above the limit of {MAX_ENTRIES} entries")
 
 
+class _Frozen:
+    """Base of the frozen types, whose constructors leave every array read-only: a
+    copy or an unpickled instance gets them back read-only too (numpy's copies are
+    writeable), with whatever was formed on first read still formed."""
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        vars(self).update(state)
+
+
 def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
     """(m, 0.0) if m = m^dag exactly, else ((m + m^dag)/2, max |m - m^dag|)."""
     h = m.conj().T
@@ -138,24 +152,18 @@ def _require_unit(vectors: BlochVector | Sequence[BlochVector]) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DenseOperator:
+class DenseOperator(_Frozen):
     """A 2^N x 2^N complex matrix together with its declared qubit count.
 
     The matrix is copied on construction and frozen.  Setting ``hermitian=True``
     asserts Hermiticity within DEFAULT_VALIDATION_TOL entrywise, raises otherwise,
     and stores an exactly Hermitian matrix: the input itself if it already is one,
     its Hermitian part (A + A^dag)/2 if not.
-
-    An operator that pauli_to_operator built holds its Pauli tensor alone.  It
-    forms its matrix on the first read of ``matrix``, through this constructor
-    with ``hermitian=True``, and keeps it; qubits and dim form nothing.
     """
 
     matrix: np.ndarray
     qubits: int
     hermitian: bool = False
-    # the Pauli tensor that pauli_to_operator built this operator from, else None
-    _pauli: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
@@ -171,15 +179,6 @@ class DenseOperator:
             m = _hermitian(m, "operator flagged Hermitian")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    def __getattr__(self, name: str):
-        # reached only for an attribute the instance lacks: of those, only the
-        # matrix of an operator built from its Pauli tensor is formed here
-        if name != "matrix" or self._pauli is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        m = DenseOperator(self._pauli._matrix(), self.qubits, hermitian=True).matrix
-        object.__setattr__(self, "matrix", m)
-        return m
 
     @property
     def dim(self) -> int:
@@ -255,14 +254,6 @@ def trace_inner(a: DenseOperator, b: DenseOperator) -> complex:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return complex(np.vdot(a.matrix, b.matrix))
-
-
-def _deviation(a: DenseOperator, b: DenseOperator) -> float:
-    """Frobenius norm of A - B, the deviation RECONSTRUCTION_TOL bounds, between a
-    representation's operator a and its target b; raises unless both act on as many qubits."""
-    if a.qubits != b.qubits:
-        raise ValueError(f"representation acts on {a.qubits} qubits, target on {b.qubits}")
-    return float(np.linalg.norm(a.matrix - b.matrix))
 
 
 def hermitian_eigenvalues(a: DenseOperator) -> np.ndarray:

@@ -12,10 +12,15 @@ back to a Pauli tensor with the projectors' Pauli rows.  The continuous
 reconstruction integrates w over a frame's own vertices at equal weights
 4pi/K, where they form a quadrature exact to the degree w needs.  A table and a
 reconstruction check their per-qubit frames by one rule, _table_frames.
+
+pauli_to_operator returns an operator held as its Pauli tensor alone, which
+pauli_coefficients gives back as it is; its 2^N x 2^N matrix is formed on the
+first read.  A reconstruction is graded on the Pauli tensors too (_deviation).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,6 +31,7 @@ import numpy as np
 from .operators import (
     BlochVector,
     DenseOperator,
+    _Frozen,
     _hermitian,
     _json_keys,
     _json_number,
@@ -57,7 +63,7 @@ def _mode_contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.nda
 
 
 @dataclass(frozen=True, eq=False)
-class PauliCoefficients:
+class PauliCoefficients(_Frozen):
     """Real tensor c with c[a1, ..., aN] = tr(rho sigma_a1 x ... x sigma_aN)."""
 
     qubits: int
@@ -97,8 +103,7 @@ class PauliCoefficients:
 
     def _matrix(self) -> np.ndarray:
         """The 2^N x 2^N matrix 2^-N sum c sigma x ... x sigma: the one route from a
-        Pauli tensor to a matrix, taken on the first read of the matrix of an
-        operator that pauli_to_operator built."""
+        Pauli tensor to a matrix, taken by pauli_to_operator's operators on first read."""
         n, d = self.qubits, 2**self.qubits
         # sigma_b as column b of a (4, 4) matrix of its flattened (i, j) entries
         t = _mode_contract(self.coeffs, [sigma_stack().reshape(4, 4).T] * n)
@@ -116,12 +121,27 @@ class PauliCoefficients:
         _json_keys("coefficient JSON", data, ("n", "coeffs"))
         n = _json_number("qubit count", data["n"], int)
         _require_qubits(n, "Pauli coefficients")
+        coeffs = data.get("coeffs", {})
+        if not isinstance(coeffs, dict):
+            raise ValueError(f'coefficient JSON "coeffs" must be a JSON object, got {coeffs!r}')
         c = np.zeros((4,) * n)
-        for key, value in dict(data.get("coeffs", {})).items():
+        for key, value in coeffs.items():
             if len(key) != n or any(ch not in "0123" for ch in key):
                 raise ValueError(f"bad coefficient index {key!r} for {n} qubits")
             c[tuple(map("0123".index, key))] = _json_number("coefficient", value)
         return cls(n, c)
+
+
+class _TensorOperator(DenseOperator):
+    """An operator held as its Pauli tensor alone: its matrix is formed on the first
+    read, through DenseOperator with hermitian=True, and kept; qubits and dim form nothing."""
+
+    def __init__(self, c: PauliCoefficients) -> None:
+        vars(self).update(qubits=c.qubits, hermitian=True, _tensor=c)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return DenseOperator(self._tensor._matrix(), self.qubits, hermitian=True).matrix
 
 
 def pauli_coefficients(rho: DenseOperator) -> PauliCoefficients:
@@ -131,8 +151,8 @@ def pauli_coefficients(rho: DenseOperator) -> PauliCoefficients:
     from, as it is.  Any other is contracted: each qubit of rho with the sigma
     stack, so the cost is O(N 4^N) rather than one trace per Pauli string.
     """
-    if rho._pauli is not None:
-        return rho._pauli
+    if isinstance(rho, _TensorOperator):
+        return rho._tensor
     n = rho.qubits
     t = _hermitian(rho.matrix, "pauli_coefficients input").reshape((2,) * (2 * n))
     # bring axes to (i_1, j_1, i_2, j_2, ...) and merge each pair into one
@@ -144,13 +164,25 @@ def pauli_coefficients(rho: DenseOperator) -> PauliCoefficients:
     return PauliCoefficients(n, _mode_contract(t, [sig] * n).real)
 
 
+def _deviation(a: DenseOperator, b: DenseOperator) -> float:
+    """Frobenius norm of A - B, the deviation RECONSTRUCTION_TOL bounds, between a
+    representation's operator a and its target b, as 2^(-N/2) |c_A - c_B|_2 over their
+    Pauli tensors: no matrix is formed.  NaN, which no bound accepts, where either has
+    no real Pauli tensor; raises unless both act on as many qubits."""
+    if a.qubits != b.qubits:
+        raise ValueError(f"representation acts on {a.qubits} qubits, target on {b.qubits}")
+    try:
+        d = (pauli_coefficients(a).coeffs - pauli_coefficients(b).coeffs).ravel()
+    except ValueError:
+        return math.nan
+    return math.sqrt(float(d @ d) / 2**a.qubits)
+
+
 def pauli_to_operator(c: PauliCoefficients) -> DenseOperator:
     """Inverse of pauli_coefficients: the operator rho = 2^-N sum c sigma x ... x
     sigma, holding c alone, which pauli_coefficients then reads back exactly.  Its
     matrix is formed, exactly Hermitian, on the first read of rho.matrix."""
-    rho = object.__new__(DenseOperator)
-    rho.__dict__.update(qubits=c.qubits, hermitian=True, _pauli=c)
-    return rho
+    return _TensorOperator(c)
 
 
 def wcan_continuous(rep: object, n_tuple: Sequence[BlochVector]) -> float:
@@ -166,7 +198,7 @@ def wcan_continuous(rep: object, n_tuple: Sequence[BlochVector]) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class CoefficientTable:
+class CoefficientTable(_Frozen):
     """Expansion coefficients of one density operator over product frames.
 
     weights is a real tensor over per-qubit frame indices, one frame per

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .operators import RECONSTRUCTION_TOL, SIGN_TOL, DenseOperator, _deviation, hermitian_eigenvalues
-from .representations import CoefficientTable, PauliCoefficients, reconstruct_discrete
+from .operators import RECONSTRUCTION_TOL, SIGN_TOL, DenseOperator, hermitian_eigenvalues
+from .representations import CoefficientTable, PauliCoefficients, _deviation, reconstruct_discrete
 from .states import _cat_strings
 
 

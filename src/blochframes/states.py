@@ -23,7 +23,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .operators import BlochVector, DenseOperator, _pauli_rows, _require_unit, validate_density
-from .operators import MAX_ENTRIES, _json_keys, _json_number, _json_vector, _require_entries, _require_qubits
+from .operators import MAX_ENTRIES, _Frozen, _json_keys, _json_number, _json_vector
+from .operators import _require_entries, _require_qubits
 from .frames import Frame
 from .representations import CoefficientTable, PauliCoefficients, _table_frames, pauli_to_operator
 
@@ -231,7 +232,7 @@ def _require_ensemble(terms: int, qubits: int) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class ProductEnsemble:
+class ProductEnsemble(_Frozen):
     """A finite mixture of pure product states, one Bloch vector per qubit."""
 
     qubits: int
@@ -312,9 +313,11 @@ class ProductEnsemble:
             terms = []
             for t in data["terms"]:
                 _json_keys("ensemble term", t, ("probability", "vectors", "label"))
+                label = t.get("label", "")
+                if not isinstance(label, str):
+                    raise ValueError(f'ensemble term "label" must be a JSON string, got {label!r}')
                 terms.append((_json_number("probability", t["probability"]),
-                              [_json_vector("vector", v) for v in t["vectors"]],
-                              t.get("label", "")))
+                              [_json_vector("vector", v) for v in t["vectors"]], label))
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed ensemble JSON: {exc}") from exc
         return cls(qubits, terms)

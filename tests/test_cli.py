@@ -373,9 +373,9 @@ def test_family_requests_form_no_matrix(capsys, monkeypatch, tmp_path, state):
 
 @pytest.mark.parametrize("argv, formed", [
     (["ppt", "--state", '{"family": "werner", "epsilon": 0.2}'], 1),
-    # the ensemble's mixture and the target state
-    (["verify-ensemble", "--name", "ghz"], 2),
-    (["verify-ensemble", "--name", "werner"], 2),
+    # the deviation is measured on the mixture's and the target's Pauli tensors
+    (["verify-ensemble", "--name", "ghz"], 0),
+    (["verify-ensemble", "--name", "werner"], 0),
     # a custom matrix is held as given, so there is nothing to form
     (["ppt", "--state", '{"family": "custom_matrix", "matrix": [[0.25, 0, 0, 0], [0, 0.25, 0, 0], '
                         '[0, 0, 0.25, 0], [0, 0, 0, 0.25]]}'], 0),
@@ -998,6 +998,11 @@ def _matrix_state(first) -> str:
          "--file"),
         (["verify-ensemble", "--state", _WERNER, "--file",
           '{"qubits": 2, "terms": [{"probability": 1, "weight": 1, "vectors": [[0, 0, 1], [0, 0, 1]]}]}'],
+         "--file"),
+        # "coeffs" is a JSON object and a term's "label" a JSON string, not what dict() or str() makes of them
+        (["witness", "--name", "ghz", "--coeffs", '{"n": 3, "coeffs": [["000", 1], ["111", 2]]}'], "--coeffs"),
+        (["verify-ensemble", "--state", _WERNER, "--file",
+          '{"qubits": 2, "terms": [{"probability": 1, "vectors": [[0, 0, 1], [0, 0, 1]], "label": null}]}'],
          "--file"),
     ],
 )

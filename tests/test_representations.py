@@ -15,11 +15,13 @@ from blochframes import (
     CoefficientTable,
     DenseOperator,
     PauliCoefficients,
+    ProductEnsemble,
     StateSpec,
     bloch_projector,
     build_frame,
     build_state,
     continuous_dual,
+    dual_frame,
     mix_with_identity,
     pauli,
     pauli_coefficients,
@@ -27,6 +29,7 @@ from blochframes import (
     reconstruct_continuous,
     reconstruct_discrete,
     sigma_stack,
+    sph_coefficients,
     sphere_grid,
     sphere_quadrature,
     tensor,
@@ -37,7 +40,7 @@ from blochframes import (
 from blochframes.cli import main
 from blochframes.operators import _pauli_rows
 from blochframes import representations
-from blochframes.representations import _CSV_BLOCK_ROWS, _mode_contract
+from blochframes.representations import _CSV_BLOCK_ROWS, _deviation, _mode_contract
 from blochframes.states import _cat_coefficients
 from conftest import random_density, random_hermitian
 
@@ -123,6 +126,77 @@ def test_tensor_built_operator_forms_the_eager_matrix_on_first_read(n, family, s
     if not formed:
         assert _same_bits(rho.matrix, expected)
         assert not rho.matrix.flags.writeable
+
+
+def _arrays(obj):
+    """Every array an object holds: its own attributes', and those of the tuples
+    and package objects among them."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+    elif type(obj).__module__.startswith("blochframes."):
+        for value in vars(obj).values():
+            yield from _arrays(value)
+
+
+def _read(obj, *names):
+    # the attributes formed on first read, formed before the copy
+    for name in names:
+        getattr(obj, name)
+    return obj
+
+
+_FROZEN = {
+    "operator": lambda: DenseOperator(np.eye(4) / 4, 2),
+    "tensor-operator": lambda: _read(pauli_to_operator(mix_with_identity(_cat_coefficients(3), 0.3)), "matrix"),
+    "pauli-coefficients": lambda: _cat_coefficients(2),
+    "table": lambda: wcan_discrete(build_state(StateSpec("werner", epsilon=0.2)), [build_frame("cube")] * 2),
+    "frame": lambda: _read(dual_frame([BlochVector(0.0, 0.0, 1.0), BlochVector(1.0, 0.0, 0.0),
+                                       BlochVector(0.0, 1.0, 0.0), BlochVector(-0.6, -0.8, 0.0)]),
+                           "projectors", "duals"),
+    "ensemble": lambda: ProductEnsemble(1, [(0.5, [BlochVector(0.0, 0.0, 1.0)], "up"),
+                                            (0.5, [BlochVector(0.0, 0.0, -1.0)], "down")]),
+    "sph-coefficients": lambda: _read(sph_coefficients(_cat_coefficients(2)), "canonical"),
+}
+
+
+@pytest.mark.parametrize("copier", [copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("make", list(_FROZEN.values()), ids=list(_FROZEN))
+def test_copies_keep_every_array_read_only(make, copier):
+    obj = make()
+    assert not any(a.flags.writeable for a in _arrays(obj))
+    twin = copier(obj)
+    arrays = list(_arrays(twin))
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    # what was formed before the copy comes back formed
+    assert vars(twin).keys() == vars(obj).keys()
+
+
+def _random_ensemble(rng, n: int) -> ProductEnsemble:
+    p = rng.random(int(rng.integers(1, 9)))
+    vectors = rng.normal(size=(len(p), n, 3))
+    vectors /= np.linalg.norm(vectors, axis=2, keepdims=True)
+    terms = [(q, [BlochVector.from_array(v) for v in term], "") for q, term in zip(p / p.sum(), vectors)]
+    return ProductEnsemble(n, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["hermitian", "family", "matrix"]))
+def test_deviation_is_the_frobenius_norm_of_the_difference(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "hermitian":
+        a, b = random_hermitian(rng, n), random_hermitian(rng, n)
+    else:
+        # an ensemble's mixture against a family state, or against a matrix-held density
+        a = _random_ensemble(rng, n).mixture()
+        b = (build_state(StateSpec("eps_cat", n, float(rng.random()))) if kind == "family"
+             else random_density(rng, n))
+    value = _deviation(a, b)
+    assert abs(value - np.linalg.norm(a.matrix - b.matrix)) <= 1e-15 * (1 + value)
+    assert _deviation(b, a) == value
 
 
 def test_pauli_coefficients_reject_non_hermitian():

@@ -10,6 +10,7 @@ from blochframes import (
     CertificateError,
     DenseOperator,
     EnsembleTerm,
+    PauliCoefficients,
     ProductEnsemble,
     StateSpec,
     build_frame,
@@ -88,6 +89,19 @@ def test_certify_refuses_a_representation_on_other_qubits():
         with pytest.raises(ValueError) as err:
             certify(target, representation)
         assert str(err.value) == "representation acts on 2 qubits, target on 3"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_certify_forms_no_matrix(monkeypatch, n):
+    """certify grades on Pauli tensors, so neither a mixture nor a family state
+    forms its matrix (PauliCoefficients._matrix is the one route to one)."""
+    calls = []
+    form = PauliCoefficients._matrix
+    monkeypatch.setattr(PauliCoefficients, "_matrix", lambda self: calls.append(self) or form(self))
+    e = cat_ensemble(n)
+    certify(e.mixture(), ensemble_to_table(e, [build_frame("cardinal6")] * n))
+    certify(build_state(StateSpec("eps_cat", n, bound_duer(n))), cat_ensemble(n))
+    assert calls == []
 
 
 def test_certify_rejects_nan_state():

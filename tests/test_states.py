@@ -578,6 +578,26 @@ def test_json_readers_refuse_unknown_keys(read, data, message):
         read(data)
 
 
+@pytest.mark.parametrize(
+    "read, data, message",
+    [
+        (PauliCoefficients.from_dict, {"n": 3, "coeffs": [["000", 1]]},
+         'coefficient JSON "coeffs" must be a JSON object, got [[\'000\', 1]]'),
+        (PauliCoefficients.from_dict, {"n": 1, "coeffs": "ab"},
+         'coefficient JSON "coeffs" must be a JSON object, got \'ab\''),
+        (ProductEnsemble.from_json, {"qubits": 1, "terms": [{**_TERM, "label": None}]},
+         'ensemble term "label" must be a JSON string, got None'),
+        (ProductEnsemble.from_json, {"qubits": 1, "terms": [{**_TERM, "label": [1]}]},
+         'ensemble term "label" must be a JSON string, got [1]'),
+    ],
+    ids=["coeffs-pairs", "coeffs-string", "label-null", "label-list"],
+)
+def test_json_readers_refuse_type_confusion(read, data, message):
+    with pytest.raises(ValueError) as err:
+        read(data)
+    assert str(err.value) == message
+
+
 def test_ensemble_to_table_refuses_an_oversized_table():
     def north_table(n):
         e = ProductEnsemble(n, (EnsembleTerm(1.0, (BlochVector(0.0, 0.0, 1.0),) * n),))

@@ -16,6 +16,11 @@ reconstruction check their per-qubit frames by one rule, _table_frames.
 pauli_to_operator returns an operator held as its Pauli tensor alone, which
 pauli_coefficients gives back as it is; its 2^N x 2^N matrix is formed on the
 first read.  A reconstruction is graded on the Pauli tensors too (_deviation).
+
+Every one of these is a mode product by _mode_contract, whose steps run in row
+blocks of at most _GEMM_BLOCK multiply-adds each.  On two BLAS threads a wider
+product is split across both, and that made the wide steps of big tables about
+twice as slow as on one thread; the blocks keep every entry's bits.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ from .frames import FOUR_PI, Frame, build_frame
 
 # rows per stream.write in CoefficientTable.write_csv
 _CSV_BLOCK_ROWS = 1 << 13
+# most multiply-adds per matrix product in a _mode_contract step; a 6 x 4 block's
+# output is then 256 KB
+_GEMM_BLOCK = 1 << 17
 
 
 def _mode_contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -55,10 +63,29 @@ def _mode_contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.nda
     the back, which keeps the qubit order intact.  This is the package's one
     per-qubit contraction: w is multilinear in the Bloch vectors, so tables,
     Pauli tensors, slopes and reconstructions are all such mode products.
+
+    A step of more than _GEMM_BLOCK multiply-adds (rows x M_k x K) runs in row
+    blocks of at most that many, written into one output.  OpenBLAS splits a
+    wider product across threads, which made the last step of a 6^7 table
+    (46,656 x 6 x 4) about twice as slow on two threads as on one.  A block never
+    has one row: that would be a matrix-vector product, computed by another
+    kernel in other bits.  A matrix of one row is such a product throughout, and
+    its bits depend on where the rows are split, so it runs whole.  Every other
+    block splits rows only, so each entry is the same dot product, bit for bit.
     """
     out = tensor
     for m in matrices:
-        out = out.reshape(m.shape[1], -1).T @ m.T
+        x = out.reshape(m.shape[1], -1).T
+        if len(x) * m.size <= _GEMM_BLOCK or len(m) == 1:
+            out = x @ m.T
+            continue
+        # rows per block, at least two; the last block takes a left-over row and still
+        # does at most _GEMM_BLOCK, unless three rows of m already do more
+        step = max(_GEMM_BLOCK // m.size - 1, 2)
+        edges = [0, *range(step, len(x) - 1, step), len(x)]
+        out = np.empty((len(x), len(m)), np.result_type(x, m))
+        for a, b in zip(edges, edges[1:]):
+            np.matmul(x[a:b], m.T, out=out[a:b])
     return out.reshape([m.shape[0] for m in matrices])
 
 

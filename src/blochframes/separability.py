@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .operators import RECONSTRUCTION_TOL, SIGN_TOL, DenseOperator, hermitian_eigenvalues
+from .operators import RECONSTRUCTION_TOL, SIGN_TOL, DenseOperator, _hermitian
 from .representations import CoefficientTable, PauliCoefficients, _deviation, reconstruct_discrete
 from .states import _cat_strings
 
@@ -138,5 +138,4 @@ def ppt_min_eigenvalue(rho: DenseOperator) -> float:
     """Smallest eigenvalue of the partial transpose; negative refutes
     separability, and for two qubits nonnegative confirms it.  Both sides
     have one spectrum, so the second qubit is transposed."""
-    pt = partial_transpose(rho, 1)
-    return float(hermitian_eigenvalues(DenseOperator(pt, 2))[0])
+    return float(np.linalg.eigvalsh(_hermitian(partial_transpose(rho, 1)))[0])

@@ -4,10 +4,11 @@ import json
 import math
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochframes import (
@@ -672,6 +673,67 @@ def test_mode_contract_matches_einsum(sizes, complex_input, seed):
     out = _mode_contract(tensor, mats)
     assert out.shape == tuple(sizes)
     assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+def _one_product_per_step(tensor, matrices):
+    # _mode_contract as it was before its steps ran in row blocks
+    out = tensor
+    for m in matrices:
+        out = out.reshape(m.shape[1], -1).T @ m.T
+    return out.reshape([m.shape[0] for m in matrices])
+
+
+@st.composite
+def _contractions(draw):
+    """(tensor, matrices): a real table over frames of 4 to 20 vectors, a real
+    reconstruction by (4, K) matrices, or a complex table; at most 6^7 entries."""
+    n = draw(st.integers(1, 7))
+    cap = min(20, int(round((6**7) ** (1 / n), 9)))
+    sizes = draw(st.lists(st.integers(4, cap), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["table", "reconstruction", "complex"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "reconstruction":
+        return rng.normal(size=sizes), [rng.normal(size=(4, k)) for k in sizes]
+    tensor = rng.normal(size=(4,) * n)
+    mats = [rng.normal(size=(k, 4)) for k in sizes]
+    if kind == "complex":
+        tensor = tensor + 1j * rng.normal(size=tensor.shape)
+        mats = [m + 1j * rng.normal(size=m.shape) for m in mats]
+    return tensor, mats
+
+
+_CARDINAL6_7 = (np.sin(np.arange(4.0**7)).reshape((4,) * 7), [np.cos(np.arange(24.0)).reshape(6, 4)] * 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_contractions(), st.sampled_from([1, 64, 1000, representations._GEMM_BLOCK]))
+@example(_CARDINAL6_7, representations._GEMM_BLOCK)  # 9 blocks in the last step
+@example((np.sin(np.arange(64.0)).reshape(4, 4, 4), [np.cos(np.arange(20.0) + k).reshape(5, 4) for k in range(3)]), 64)  # 2-row blocks
+# one-row matrices, as in minimize's single-point values
+@example((np.sin(np.arange(4.0**8)).reshape((4,) * 8), [np.cos(np.arange(4.0) + k)[None] for k in range(8)]), 64)
+def test_blocked_contraction_is_one_product_per_step_bit_for_bit(case, block):
+    tensor, mats = case
+    with mock.patch.object(representations, "_GEMM_BLOCK", block):
+        out = _mode_contract(tensor, mats)
+    assert np.array_equal(out, _one_product_per_step(tensor, mats))
+
+
+def test_a_table_above_the_block_bound_is_built_in_blocks(monkeypatch):
+    products = []
+    matmul = np.matmul
+
+    def counted(a, b, **kwargs):
+        products.append(a.shape[0] * b.shape[0] * b.shape[1])
+        return matmul(a, b, **kwargs)
+
+    rho = build_state(StateSpec("eps_cat", qubits=7, epsilon=0.2))
+    frames = [build_frame("cardinal6")] * 7
+    monkeypatch.setattr(representations.np, "matmul", counted)
+    table = wcan_discrete(rho, frames)
+    monkeypatch.undo()
+    assert table.weights.shape == (6,) * 7
+    assert len(products) > 1
+    assert max(products) <= representations._GEMM_BLOCK
 
 
 def test_pauli_coefficients_reject_non_finite():

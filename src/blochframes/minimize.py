@@ -8,12 +8,12 @@ evaluates the relevant candidates exactly.  For generic states the best grid
 point is then polished by rounds of exact coordinate steps and one Newton step
 on the product of spheres: with every qubit but k fixed the function is
 a + b . n_k, whose minimum over the unit sphere is a - |b| at n_k = -b/|b|, and
-one tensor contraction gives every qubit's b and the second derivatives
-at once.  The Newton step makes the
-descent converge in a few rounds for every state, where coordinate steps alone
-crawl along flat valleys.  The function is affine in the mixing weight with
-the identity too, so the separability threshold follows from one
-minimization.
+one tensor contraction at a point gives w, every qubit's b and the second
+derivatives at once, so each trial point is contracted once.  The Newton
+step makes the descent converge in a few rounds for every state, where
+coordinate steps alone crawl along flat valleys.  The function is affine in
+the mixing weight with the identity too, so the separability threshold
+follows from one minimization.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _scan_count(request: int, n: int) -> int:
 
 def _evaluate(c: PauliCoefficients, vecs: np.ndarray) -> float:
     """w at one product point, given as (N, 3) unit vectors: the evaluation
-    behind every value the refinement of minimize_wcan reports."""
+    behind the value a refined minimize_wcan reports."""
     return float(c.node_values(vecs[:, None, :]).reshape(()))
 
 
@@ -123,20 +123,22 @@ def _layout(n: int) -> _Layout:
     return layout
 
 
-def _derivatives(coeffs: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The slopes b_k of every qubit as 3N rows (k, a), and the (3N, 3N) cross
-    blocks, both for w / (3 / 4 pi)^N at vecs, from one contraction.
+def _derivatives(coeffs: np.ndarray, vecs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The value, the slopes b_k of every qubit as 3N rows (k, a), and the
+    (3N, 3N) cross blocks, all for w / (3 / 4 pi)^N at vecs, from one
+    contraction.
 
     Contracting axis j of the tensor with the rows (1/3, n_j), e_x, e_y, e_z
-    gives at once the slopes (one index nonzero, the others 0) and, w being
-    affine in each n_k, its only second derivatives: the cross blocks (two
-    indices nonzero).  The weights (1/3, n_j) are those of node_values.
+    gives at once the value (every index 0), the slopes (one index nonzero)
+    and, w being affine in each n_k, its only second derivatives: the cross
+    blocks (two indices nonzero).  The weights (1/3, n_j) are those of
+    node_values.
     """
     layout = _layout(len(vecs))
     mats = layout.axes.copy()
     mats[:, 0] = _pauli_rows(vecs, 1.0 / 3.0)
     flat = _mode_contract(coeffs, mats).reshape(-1)
-    return flat[layout.place], np.where(layout.same, 0.0, flat[layout.pairs])
+    return float(flat[0]), flat[layout.place], np.where(layout.same, 0.0, flat[layout.pairs])
 
 
 def _newton_move(vecs: np.ndarray, slopes: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, float]:
@@ -172,8 +174,10 @@ def minimize_wcan(
     (halved while it does not lower the value), starting at the best grid
     point and keeping a step only if its evaluated value is strictly lower,
     until a whole round lowers nothing; refine_iters == 0 reports the grid
-    minimum.  Every slope and the Newton step's cross blocks come from one
-    contraction at the current point, made again only after a kept step.
+    minimum.  One contraction at each trial point gives its value, its slopes
+    and its cross blocks, so a kept trial is not contracted again, and no
+    step is tried again at a point where it was turned down; after the last
+    round the reported value is evaluated once more at the argmin.
     Deterministic for fixed parameters; on value ties the lexicographically
     smallest grid multi-index wins.  The result is always an evaluated
     point, so it upper-bounds the true minimum.
@@ -208,32 +212,47 @@ def minimize_wcan(
     vecs = nodes[list(np.unravel_index(best_flat, shape))]
     rounds = _MAX_SWEEPS if refine_iters > 0 else 0
     if rounds:
-        slopes, cross = _derivatives(c.coeffs, vecs)
+        _, slopes, cross = _derivatives(c.coeffs, vecs)
+    # done[k] is the point at which qubit k's step was last tried or that it
+    # reached, done[n] the one at which the Newton step was last turned down:
+    # tried there again, the step would be turned down again
+    done = [None] * (n + 1)
     for _ in range(rounds):
         lowered = False
         for k in range(n):
+            if done[k] is vecs:
+                continue
             b = slopes[3 * k : 3 * k + 3]
             norm = math.sqrt(b @ b)
             if norm == 0.0:
                 continue
             trial = vecs.copy()
             trial[k] = -b / norm
-            trial_value = _evaluate(c, trial)
-            if trial_value < value:
-                vecs, value, lowered = trial, trial_value, True
-                slopes, cross = _derivatives(c.coeffs, vecs)
-        move, gain = _newton_move(vecs, slopes, cross) if n > 1 else (None, 0.0)
+            # the one contraction that grades a trial serves its steps once it is kept
+            point, trial_slopes, trial_cross = _derivatives(c.coeffs, trial)
+            if scale * point < value:
+                vecs, value, lowered = trial, scale * point, True
+                slopes, cross = trial_slopes, trial_cross
+            # b_k does not depend on n_k, so a kept step leads back to its own point
+            done[k] = vecs
+        fresh = n > 1 and done[n] is not vecs
+        move, gain = _newton_move(vecs, slopes, cross) if fresh else (None, 0.0)
         # a step whose predicted gain is below rounding cannot lower w
         for halvings in range(_MAX_HALVINGS if scale * gain > _GAIN_FLOOR * abs(value) else 0):
             trial = vecs + move * 0.5**halvings
             trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-            trial_value = _evaluate(c, trial)
-            if trial_value < value:
-                vecs, value, lowered = trial, trial_value, True
-                slopes, cross = _derivatives(c.coeffs, vecs)
+            point, trial_slopes, trial_cross = _derivatives(c.coeffs, trial)
+            if scale * point < value:
+                vecs, value, lowered = trial, scale * point, True
+                slopes, cross = trial_slopes, trial_cross
                 break
+        else:
+            done[n] = vecs
         if not lowered:
             break
+    if rounds:
+        # node_values' own evaluation, so the report is wcan_continuous(argmin) to the bit
+        value = _evaluate(c, vecs)
 
     argmin = tuple(BlochVector.from_array(v) for v in vecs)
     return MinimizeResult(value, argmin, ties, len(angles), tie_gap)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochframes import (
     DenseOperator,
@@ -226,14 +228,13 @@ def test_maximally_mixed_is_flat():
 
 
 def test_reported_minimum_is_an_evaluation(rng):
-    # the result is w evaluated at its argmin, never an extrapolation
-    from blochframes import wcan_continuous
-
-    for n in (1, 2):
+    # the result is w evaluated at its argmin, never an extrapolation; a
+    # refined result is node_values' own evaluation there, to the bit
+    for n in (1, 2, 3, 4):
         rho = random_density(rng, n)
         c = pauli_coefficients(rho)
         res = minimize_wcan(c, grid_per_sphere=16, refine_iters=2)
-        assert abs(wcan_continuous(c, res.argmin) - res.value) < 1e-12
+        assert res.value == wcan_continuous(c, res.argmin)
         # refinement never reports worse than the best grid tie
         grid_only = minimize_wcan(c, grid_per_sphere=16, refine_iters=0)
         assert res.value <= grid_only.value + 1e-15
@@ -404,7 +405,7 @@ def test_slope_matches_node_value_differences(rng):
     for n in (1, 2, 3, 4):
         c = pauli_coefficients(random_density(rng, n))
         vecs = _random_vectors(rng, n)
-        slopes, _ = _derivatives(c.coeffs, vecs)
+        _, slopes, _ = _derivatives(c.coeffs, vecs)
         for k in range(n):
             nodes = [v[None, :] for v in vecs]
             nodes[k] = np.vstack([np.zeros(3), np.eye(3)])
@@ -421,7 +422,7 @@ def test_cross_blocks_match_second_differences(rng):
     for n in (1, 2, 3, 4):
         c = pauli_coefficients(random_density(rng, n))
         vecs = _random_vectors(rng, n)
-        _, cross = _derivatives(c.coeffs, vecs)
+        _, _, cross = _derivatives(c.coeffs, vecs)
         assert cross.shape == (3 * n, 3 * n)
         scale = (3.0 / FOUR_PI) ** n
         for k in range(n):
@@ -434,6 +435,56 @@ def test_cross_blocks_match_second_differences(rng):
                 block = cross[3 * k : 3 * k + 3, 3 * l : 3 * l + 3]
                 assert np.abs(block - second / scale).max() < 1e-12
                 assert np.array_equal(cross[3 * l : 3 * l + 3, 3 * k : 3 * k + 3], block.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_derivative_value_is_the_expansion_function(n, seed):
+    # every index 0 of the contraction is w itself, over the (3 / 4 pi)^N scale
+    rng = np.random.default_rng(seed)
+    c = pauli_coefficients(random_density(rng, n))
+    scale = (3.0 / FOUR_PI) ** n
+    for _ in range(5):
+        vecs = _random_vectors(rng, n)
+        value, _, _ = _derivatives(c.coeffs, vecs)
+        w = wcan_continuous(c, vecs)
+        assert abs(scale * value - w) <= 1e-14 * max(abs(w), FOUR_PI**-n)
+
+
+def test_a_refined_solve_contracts_each_point_once(rng, monkeypatch):
+    # node_values runs for the scan and, after refinement, for the report;
+    # every trial is graded by the _derivatives contraction that a kept trial
+    # goes on with, so no point is contracted twice, and no Newton move is
+    # formed twice at one point
+    calls, points, moves = [], [], []
+    node_values, derivatives, newton_move = (
+        PauliCoefficients.node_values, minimize._derivatives, minimize._newton_move
+    )
+
+    def counted_values(self, nodes):
+        calls.append(1)
+        return node_values(self, nodes)
+
+    def recorded_derivatives(coeffs, vecs):
+        points.append(vecs.tobytes())
+        return derivatives(coeffs, vecs)
+
+    def recorded_move(vecs, slopes, cross):
+        moves.append(vecs.tobytes())
+        return newton_move(vecs, slopes, cross)
+
+    monkeypatch.setattr(PauliCoefficients, "node_values", counted_values)
+    monkeypatch.setattr(minimize, "_derivatives", recorded_derivatives)
+    monkeypatch.setattr(minimize, "_newton_move", recorded_move)
+    for n in (2, 3, 4) * 4:
+        c = pauli_coefficients(random_density(rng, n))
+        for grid, refine in ((12, 0), (12, 1), (24, 0), (24, 3)):
+            for log in (calls, points, moves):
+                log.clear()
+            minimize_wcan(c, grid, refine)
+            assert len(calls) == (2 if refine else 1), (n, grid, refine)
+            assert len(points) == len(set(points)) and (len(points) > 1) == (refine > 0)
+            assert len(moves) == len(set(moves))
 
 
 def test_derivative_layouts_are_cached_read_only():
@@ -505,7 +556,9 @@ def _former_minimum(c, grid, refine_iters):
 
 
 def test_refinement_matches_the_former_loop(rng):
-    # one contraction per round changes only the order in which the slopes are summed
+    # grading each trial by the contraction that also gives its slopes changes
+    # only the order in which the values are summed, and the report is
+    # evaluated as before
     for n in (1, 2, 3, 4):
         for grid, refine in ((6, 1), (12, 1), (24, 3), (25, 3)):
             c = pauli_coefficients(random_density(rng, n))
